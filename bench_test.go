@@ -235,10 +235,9 @@ func BenchmarkExtract3K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sk.Static()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dk.Extract(st, 3); err != nil {
+		if _, err := dk.Extract(sk, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,10 +264,9 @@ func BenchmarkBetweenness(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sk.Static()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Betweenness(st)
+		metrics.Betweenness(sk)
 	}
 }
 
@@ -278,10 +276,9 @@ func BenchmarkAllPairsBFS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sk.Static()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Distances(st)
+		metrics.Distances(sk)
 	}
 }
 
@@ -321,11 +318,10 @@ func BenchmarkBetweennessWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sk.Static()
 	benchWorkers(b, func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			metrics.Betweenness(st)
+			metrics.Betweenness(sk)
 		}
 	})
 }
@@ -336,11 +332,10 @@ func BenchmarkAllPairsBFSWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sk.Static()
 	benchWorkers(b, func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			metrics.Distances(st)
+			metrics.Distances(sk)
 		}
 	})
 }
@@ -351,11 +346,10 @@ func BenchmarkEdgeBetweennessWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sk.Static()
 	benchWorkers(b, func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			metrics.EdgeBetweenness(st)
+			metrics.EdgeBetweenness(sk)
 		}
 	})
 }
@@ -401,7 +395,7 @@ func BenchmarkRandomizeReplicasWorkers(b *testing.B) {
 func mustSummary(b *testing.B, g *graph.CSR) metrics.Summary {
 	b.Helper()
 	gcc, _ := graph.GiantComponent(g)
-	s, err := metrics.Summarize(gcc.Static(), metrics.SummaryOptions{SkipS2: true})
+	s, err := metrics.Summarize(gcc, metrics.SummaryOptions{SkipS2: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func main() {
 
 func summarize(g *graph.CSR) metrics.Summary {
 	gcc, _ := graph.GiantComponent(g)
-	sum, err := metrics.Summarize(gcc.Static(), metrics.SummaryOptions{})
+	sum, err := metrics.Summarize(gcc, metrics.SummaryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,19 +45,18 @@ func main() {
 
 func report(name string, g *graph.CSR) {
 	gcc, _ := graph.GiantComponent(g)
-	s := gcc.Static()
-	sum, err := metrics.Summarize(s, metrics.SummaryOptions{SkipS2: true})
+	sum, err := metrics.Summarize(gcc, metrics.SummaryOptions{SkipS2: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-11s n=%4d k̄=%.2f r=%+.3f d̄=%5.2f σd=%.2f  hub-ratio=%.2f\n",
-		name, sum.N, sum.AvgDegree, sum.R, sum.DBar, sum.SigmaD, hubRatio(s))
+		name, sum.N, sum.AvgDegree, sum.R, sum.DBar, sum.SigmaD, hubRatio(gcc))
 }
 
 // hubRatio is the mean BFS distance from the five highest-degree nodes to
 // everyone else, divided by the overall mean distance: < 1 means hubs in
 // the core, ≈ 1 or more means hubs at the periphery.
-func hubRatio(s *graph.Static) float64 {
+func hubRatio(s *graph.CSR) float64 {
 	n := s.N()
 	deg := make([]int, n)
 	for i := range deg {

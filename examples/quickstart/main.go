@@ -23,8 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := g.Static()
-	orig, err := metrics.Summarize(st, metrics.SummaryOptions{})
+	orig, err := metrics.Summarize(g, metrics.SummaryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		gcc, _ := graph.GiantComponent(random)
-		sum, err := metrics.Summarize(gcc.Static(), metrics.SummaryOptions{})
+		sum, err := metrics.Summarize(gcc, metrics.SummaryOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

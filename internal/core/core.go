@@ -189,11 +189,11 @@ func Compare(a, b *graph.CSR, opt Options) (*ComparisonReport, error) {
 	}
 	ga, _ := graph.GiantComponent(a)
 	gb, _ := graph.GiantComponent(b)
-	sa, err := metrics.Summarize(ga.Static(), metrics.SummaryOptions{Spectral: true, Rng: opt.Rng})
+	sa, err := metrics.Summarize(ga, metrics.SummaryOptions{Spectral: true, Rng: opt.Rng})
 	if err != nil {
 		return nil, err
 	}
-	sb, err := metrics.Summarize(gb.Static(), metrics.SummaryOptions{Spectral: true, Rng: opt.Rng})
+	sb, err := metrics.Summarize(gb, metrics.SummaryOptions{Spectral: true, Rng: opt.Rng})
 	if err != nil {
 		return nil, err
 	}

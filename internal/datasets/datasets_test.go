@@ -32,7 +32,7 @@ func TestPetersen(t *testing.T) {
 			t.Errorf("degree(%d) = %d, want 3", u, g.Degree(u))
 		}
 	}
-	if !graph.IsConnected(g.Static()) {
+	if !graph.IsConnected(g) {
 		t.Error("petersen disconnected")
 	}
 }
@@ -48,20 +48,19 @@ func TestHOTSignature(t *testing.T) {
 	if g.M() < 960 || g.M() > 1010 {
 		t.Errorf("m = %d, want ≈ 988", g.M())
 	}
-	if !graph.IsConnected(g.Static()) {
+	if !graph.IsConnected(g) {
 		t.Fatal("HOT graph disconnected")
 	}
-	s := g.Static()
-	kbar := s.AvgDegree()
+	kbar := g.AvgDegree()
 	if kbar < 1.9 || kbar > 2.3 {
 		t.Errorf("k̄ = %v, want ≈ 2.1", kbar)
 	}
 	// Near-tree: almost no clustering.
-	if c := metrics.MeanClustering(s); c > 0.05 {
+	if c := metrics.MeanClustering(g); c > 0.05 {
 		t.Errorf("C̄ = %v, want ≈ 0", c)
 	}
 	// Disassortative.
-	if r := metrics.Assortativity(s); r > -0.1 {
+	if r := metrics.Assortativity(g); r > -0.1 {
 		t.Errorf("r = %v, want strongly negative", r)
 	}
 	// The HOT signature: the highest-degree nodes are access routers
@@ -122,22 +121,21 @@ func TestSkitterSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !graph.IsConnected(g.Static()) {
+	if !graph.IsConnected(g) {
 		t.Fatal("skitter-like graph disconnected")
 	}
-	s := g.Static()
 	if g.N() < 700 {
 		t.Errorf("GCC too small: %d of 900", g.N())
 	}
-	if r := metrics.Assortativity(s); r > -0.1 {
+	if r := metrics.Assortativity(g); r > -0.1 {
 		t.Errorf("r = %v, want ≤ −0.1 (disassortative)", r)
 	}
-	if c := metrics.MeanClustering(s); c < 0.2 {
+	if c := metrics.MeanClustering(g); c < 0.2 {
 		t.Errorf("C̄ = %v, want ≥ 0.2 (strong clustering)", c)
 	}
 	// Power-law-ish: max degree far above mean.
-	if maxd := s.MaxDegree(); float64(maxd) < 5*s.AvgDegree() {
-		t.Errorf("max degree %d vs k̄ %v: tail too thin", maxd, s.AvgDegree())
+	if maxd := g.MaxDegree(); float64(maxd) < 5*g.AvgDegree() {
+		t.Errorf("max degree %d vs k̄ %v: tail too thin", maxd, g.AvgDegree())
 	}
 }
 

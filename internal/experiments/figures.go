@@ -70,7 +70,7 @@ func distanceSeries(id, title string, variants []namedGraph, orig *graph.CSR) *S
 	// Per-variant all-pairs BFS sweeps are independent; fan them out on
 	// top of the already-parallel metrics.Distances.
 	parallel.For(len(variants), func(i int) {
-		pdfs[i] = metrics.Distances(variants[i].g.Static()).PDF()
+		pdfs[i] = metrics.Distances(variants[i].g).PDF()
 	})
 	maxLen := 0
 	for i := range pdfs {
@@ -112,7 +112,7 @@ func degreeBins(maxDeg int) []int {
 
 // binnedByDegree averages per-node values into geometric degree bins,
 // weighting every node equally; returns bin lower bound → mean.
-func binnedByDegree(s *graph.Static, values []float64, restrict func(deg int) bool) map[int]float64 {
+func binnedByDegree(s *graph.CSR, values []float64, restrict func(deg int) bool) map[int]float64 {
 	sums := make(map[int]float64)
 	cnts := make(map[int]int)
 	for v, x := range values {
@@ -139,15 +139,15 @@ func binnedByDegree(s *graph.Static, values []float64, restrict func(deg int) bo
 // gets its own index-derived rand.Rand (rngAt), so sampled extractors
 // like betweennessPerNode stay deterministic at any worker count.
 func perDegreeSeries(id, title, what string, variants []namedGraph, orig *graph.CSR,
-	perNode func(s *graph.Static, rng *rand.Rand) []float64,
+	perNode func(s *graph.CSR, rng *rand.Rand) []float64,
 	restrict func(deg int) bool, rngAt func(i int) *rand.Rand) *Series {
 	variants = append(variants, namedGraph{"original", gccOf(orig)})
 	binned := make([]map[int]float64, len(variants))
 	maxDegs := make([]int, len(variants))
 	parallel.For(len(variants), func(i int) {
-		st := variants[i].g.Static()
-		binned[i] = binnedByDegree(st, perNode(st, rngAt(i)), restrict)
-		maxDegs[i] = st.MaxDegree()
+		g := variants[i].g
+		binned[i] = binnedByDegree(g, perNode(g, rngAt(i)), restrict)
+		maxDegs[i] = g.MaxDegree()
 	})
 	maxDeg := 0
 	for _, d := range maxDegs {
@@ -185,13 +185,13 @@ func (l *Lab) rngsFrom(purpose int64) func(i int) *rand.Rand {
 	return func(i int) *rand.Rand { return l.Rng(purpose + int64(i)) }
 }
 
-func clusteringPerNode(s *graph.Static, _ *rand.Rand) []float64 {
+func clusteringPerNode(s *graph.CSR, _ *rand.Rand) []float64 {
 	return metrics.LocalClustering(s)
 }
 
 // betweennessPerNode returns normalized betweenness, sampling sources on
 // larger graphs to keep figure regeneration fast.
-func betweennessPerNode(s *graph.Static, rng *rand.Rand) []float64 {
+func betweennessPerNode(s *graph.CSR, rng *rand.Rand) []float64 {
 	const exactLimit = 2500
 	var bc []float64
 	if s.N() <= exactLimit {
@@ -395,7 +395,7 @@ func (l *Lab) Fig3() (*Table, error) {
 	vars = append(vars, namedGraph{"original", gccOf(hot)})
 	rows := make([][]string, 0, len(vars))
 	for _, v := range vars {
-		ratio, ecc := hubPlacement(v.g.Static())
+		ratio, ecc := hubPlacement(v.g)
 		rows = append(rows, []string{v.name, f(ratio), f(ecc)})
 	}
 	return &Table{
@@ -408,7 +408,7 @@ func (l *Lab) Fig3() (*Table, error) {
 
 // hubPlacement returns (mean distance from top-5-degree nodes to all
 // nodes) / (overall mean distance), and the hubs' mean eccentricity.
-func hubPlacement(s *graph.Static) (ratio, meanEcc float64) {
+func hubPlacement(s *graph.CSR) (ratio, meanEcc float64) {
 	n := s.N()
 	type nd struct{ id, deg int }
 	nodes := make([]nd, n)

@@ -131,8 +131,8 @@ func (l *Lab) Table1() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rRandom := metrics.Assortativity(gccOf(oneK).Static())
-	rOriginal := metrics.Assortativity(gccOf(sk).Static())
+	rRandom := metrics.Assortativity(gccOf(oneK))
+	rOriginal := metrics.Assortativity(gccOf(sk))
 
 	return &Table{
 		ID:    "table1",

@@ -10,8 +10,8 @@ import (
 )
 
 // connectViaSwapsQuadratic is the pre-rewrite reference implementation of
-// ConnectViaSwaps: every merge rebuilds the CSR snapshot, the component
-// labeling, and the bridge set, and scans the edge list twice — O(m) work
+// ConnectViaSwaps: every merge recomputes the component labeling and
+// the bridge set, and scans the edge list twice — O(m) work
 // per merged component, O(m·c) total. It is kept here as the behavioral
 // oracle for the differential tests below and as the baseline of
 // BenchmarkConnectViaSwaps, which demonstrates the rewrite's near-linear
@@ -21,8 +21,7 @@ func connectViaSwapsQuadratic(g *graph.CSR, rng *rand.Rand) (isolated int, err e
 		return 0, fmt.Errorf("generate: ConnectViaSwaps requires rng")
 	}
 	for {
-		s := g.Static()
-		comp, sizes := graph.Components(s)
+		comp, sizes := graph.Components(g)
 		isolated = 0
 		for u := 0; u < g.N(); u++ {
 			if g.Degree(u) == 0 {
@@ -32,7 +31,7 @@ func connectViaSwapsQuadratic(g *graph.CSR, rng *rand.Rand) (isolated int, err e
 		if len(sizes)-isolated <= 1 {
 			return isolated, nil
 		}
-		bridges := graph.BridgeSet(s)
+		bridges := graph.BridgeSet(g)
 		var cycleEdges []graph.Edge
 		for _, e := range g.Edges() {
 			if !bridges[e] {
@@ -111,7 +110,7 @@ func connectInput(rng *rand.Rand, nc int, chordsPerComp func(i int) int) (*graph
 
 // edgeBearingComponents counts components with at least one edge.
 func edgeBearingComponents(g *graph.CSR) int {
-	_, sizes := graph.Components(g.Static())
+	_, sizes := graph.Components(g)
 	n := 0
 	for _, sz := range sizes {
 		if sz > 1 {
@@ -288,7 +287,7 @@ func TestConnectViaSwapsBarelyFeasible(t *testing.T) {
 // TestConnectViaSwapsDeterministic: the same input and seed must yield
 // the identical connected graph on every run. This is a regression
 // guard for the upfront spanning-forest pass: traversing adjacency maps
-// (randomized iteration order) instead of the sorted CSR snapshot would
+// (randomized iteration order) instead of the sorted CSR windows would
 // leak map order into the tree/chord split and break the repository's
 // determinism contract.
 func TestConnectViaSwapsDeterministic(t *testing.T) {

@@ -34,7 +34,7 @@ func TestCSRMatchesMapReference(t *testing.T) {
 			c := fam.build(newRng(seed))
 			ref := c.Graph() // retained map-adjacency reference
 
-			// Static analysis surfaces agree.
+			// Read-only analysis surfaces agree.
 			if graph.ContentHash(c, nil) != graph.ContentHash(ref, nil) {
 				t.Fatalf("%s: content hash differs across representations", fam.name)
 			}
@@ -53,7 +53,7 @@ func TestCSRMatchesMapReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pg, err := dk.Extract(ref.Static(), d)
+				pg, err := dk.Extract(ref.CSR(), d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +61,7 @@ func TestCSRMatchesMapReference(t *testing.T) {
 					t.Fatalf("%s: depth-%d profiles differ across representations", fam.name, d)
 				}
 			}
-			if !subgraphs.Count(c).Equal(subgraphs.Count(ref.Static())) {
+			if !subgraphs.Count(c).Equal(subgraphs.Count(ref.CSR())) {
 				t.Fatalf("%s: censuses differ across representations", fam.name)
 			}
 
@@ -109,7 +109,7 @@ func TestCSRMatchesMapReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pm, err := dk.Extract(mirror.Static(), depth)
+				pm, err := dk.Extract(mirror.CSR(), depth)
 				if err != nil {
 					t.Fatal(err)
 				}

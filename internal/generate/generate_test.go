@@ -467,7 +467,7 @@ func TestRandomizePreserveConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !graph.IsConnected(out.Static()) {
+	if !graph.IsConnected(out) {
 		t.Error("connectivity not preserved")
 	}
 }
@@ -930,7 +930,7 @@ func TestConnectViaSwapsProperty(t *testing.T) {
 		}
 		// Non-isolated nodes form one component.
 		nonIso, _ := graph.DropIsolated(g)
-		return graph.IsConnected(nonIso.Static())
+		return graph.IsConnected(nonIso)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package generate
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dk"
 	"repro/internal/graph"
@@ -435,7 +436,7 @@ func (o *ClusteringObjective) Delta() float64 {
 	for v := range o.pending {
 		keys = append(keys, v)
 	}
-	sortInts(keys)
+	slices.Sort(keys)
 	var sum float64
 	for _, v := range keys {
 		sum += float64(o.pending[v]) * o.invPair[v]

@@ -398,7 +398,7 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 			return false, nil
 		}
 	}
-	if r.PreserveConnectivity && !graph.IsConnected(r.G.Static()) {
+	if r.PreserveConnectivity && !graph.IsConnected(r.G) {
 		r.revert(m)
 		if r.Obj != nil {
 			r.Obj.Rollback()

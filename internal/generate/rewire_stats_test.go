@@ -161,7 +161,7 @@ func TestRewireStatsBreakdown(t *testing.T) {
 		if st.Rejected.Disconnected == 0 {
 			t.Fatalf("cycle run saw no connectivity rejections: %+v", st.Rejected)
 		}
-		if !graph.IsConnected(g.Static()) {
+		if !graph.IsConnected(g) {
 			t.Fatal("PreserveConnectivity left a disconnected graph")
 		}
 	})

@@ -1,11 +1,11 @@
 package graph
 
-// Bridges returns the bridge edges of s — edges whose removal disconnects
+// Bridges returns the bridge edges of c — edges whose removal disconnects
 // their component — via Tarjan's low-link algorithm with an explicit
 // stack (no recursion, so deep chain graphs are safe). Edges are returned
 // in canonical orientation.
-func Bridges(s *Static) []Edge {
-	n := s.N()
+func Bridges(c *CSR) []Edge {
+	n := c.N()
 	disc := make([]int32, n) // discovery time, 0 = unvisited
 	low := make([]int32, n)
 	parent := make([]int32, n)
@@ -31,7 +31,7 @@ func Bridges(s *Static) []Edge {
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			u := f.node
-			nbrs := s.Neighbors(int(u))
+			nbrs := c.Neighbors(int(u))
 			if int(f.next) < len(nbrs) {
 				v := nbrs[f.next]
 				f.next++
@@ -64,8 +64,8 @@ func Bridges(s *Static) []Edge {
 }
 
 // BridgeSet returns the bridges as a set keyed by canonical edge.
-func BridgeSet(s *Static) map[Edge]bool {
-	bs := Bridges(s)
+func BridgeSet(c *CSR) map[Edge]bool {
+	bs := Bridges(c)
 	out := make(map[Edge]bool, len(bs))
 	for _, e := range bs {
 		out[e] = true

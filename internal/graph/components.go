@@ -1,10 +1,10 @@
 package graph
 
-// Components labels the connected components of s. It returns a node→
+// Components labels the connected components of c. It returns a node→
 // component-id slice (ids are dense, assigned in discovery order) and the
 // size of each component.
-func Components(s *Static) (comp []int32, sizes []int) {
-	n := s.N()
+func Components(c *CSR) (comp []int32, sizes []int) {
+	n := c.N()
 	comp = make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
@@ -23,7 +23,7 @@ func Components(s *Static) (comp []int32, sizes []int) {
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, v := range s.Neighbors(int(u)) {
+			for _, v := range c.Neighbors(int(u)) {
 				if comp[v] < 0 {
 					comp[v] = id
 					size++
@@ -36,13 +36,13 @@ func Components(s *Static) (comp []int32, sizes []int) {
 	return comp, sizes
 }
 
-// IsConnected reports whether s is connected (the empty graph counts as
+// IsConnected reports whether c is connected (the empty graph counts as
 // connected).
-func IsConnected(s *Static) bool {
-	if s.N() == 0 {
+func IsConnected(c *CSR) bool {
+	if c.N() == 0 {
 		return true
 	}
-	_, sizes := Components(s)
+	_, sizes := Components(c)
 	return len(sizes) == 1
 }
 
@@ -51,7 +51,7 @@ func IsConnected(s *Static) bool {
 // original ids. Ties are broken by the smallest original root node, which
 // makes the result deterministic.
 func GiantComponent(c *CSR) (*CSR, []int) {
-	comp, sizes := Components(c.Static())
+	comp, sizes := Components(c)
 	if len(sizes) == 0 {
 		return NewCSR(0), nil
 	}

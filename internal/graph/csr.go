@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is the mutable working representation of an undirected simple
@@ -183,7 +184,7 @@ func newCSRPreservingOrder(n int, edges []Edge) *CSR {
 	}
 	copy(c.deg, c.wcap)
 	for u := 0; u < n; u++ {
-		sortInt32(c.window(u))
+		slices.Sort(c.window(u))
 	}
 	// With windows sorted, locate each edge's two slots by binary search
 	// to lay down the edge-index overlay: O(m log d).
@@ -404,11 +405,8 @@ func (c *CSR) Edges() []Edge {
 // SortedEdges returns the edge list sorted lexicographically.
 func (c *CSR) SortedEdges() []Edge {
 	out := c.Edges()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(out, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	return out
 }
@@ -546,28 +544,4 @@ func (c *CSR) Equal(h *CSR) bool {
 		}
 	}
 	return true
-}
-
-// Static builds an immutable CSR snapshot. The snapshot never aliases
-// c's arena, so mutating c afterwards does not affect it.
-func (c *CSR) Static() *Static {
-	n := c.N()
-	s := &Static{
-		offsets: make([]int32, n+1),
-		neigh:   make([]int32, 2*len(c.edges)),
-		m:       len(c.edges),
-	}
-	for u := 0; u < n; u++ {
-		s.offsets[u+1] = s.offsets[u] + c.deg[u]
-	}
-	for u := 0; u < n; u++ {
-		copy(s.neigh[s.offsets[u]:s.offsets[u+1]], c.window(u))
-	}
-	return s
-}
-
-// CSR converts the snapshot into a mutable CSR whose edge list is in
-// canonical sorted order (the only order a Static can produce).
-func (s *Static) CSR() *CSR {
-	return csrFromCanonicalEdges(s.N(), s.Edges())
 }

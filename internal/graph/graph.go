@@ -5,17 +5,17 @@
 //
 // Two representations are provided:
 //
-//   - Graph: a mutable structure optimized for the edge-rewiring workloads
-//     at the heart of the dK-series construction algorithms. It supports
-//     O(1) expected-time edge existence tests, O(1) uniform random edge
-//     selection, and O(1) expected-time edge insertion and removal.
+//   - Graph: a map-adjacency builder used at the ingestion boundary
+//     (text and binary parsing) and as the differential-test reference.
 //
-//   - Static: an immutable compressed-sparse-row (CSR) snapshot optimized
-//     for the traversal-heavy metric computations (all-pairs BFS,
-//     betweenness, clustering, spectral analysis).
+//   - CSR: the mutable working representation every layer past
+//     ingestion reads and rewires — sorted int32 neighbor windows with an
+//     edge-index overlay (see csr.go). The traversal-heavy metric
+//     computations (all-pairs BFS, betweenness, clustering, spectral
+//     analysis) run directly on its windows.
 //
 // Nodes are identified by dense integers 0..N()-1. Self-loops and parallel
-// edges are rejected; the Multigraph type in pseudograph.go handles the
+// edges are rejected; the Multigraph type in multigraph.go handles the
 // intermediate non-simple stages of configuration-model construction.
 package graph
 

@@ -146,14 +146,14 @@ func randomGraph(rng *rand.Rand, n, m int) *Graph {
 	return g
 }
 
-func TestStaticMatchesGraphProperty(t *testing.T) {
+func TestCSRMatchesGraphProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
 		maxM := n * (n - 1) / 2
 		m := rng.Intn(maxM + 1)
 		g := randomGraph(rng, n, m)
-		s := g.Static()
+		s := g.CSR()
 		if s.N() != g.N() || s.M() != g.M() {
 			return false
 		}
@@ -183,33 +183,15 @@ func TestStaticMatchesGraphProperty(t *testing.T) {
 	}
 }
 
-func TestStaticNeighborsSorted(t *testing.T) {
+func TestCSRNeighborsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 200, 900)
-	s := g.Static()
+	s := g.CSR()
 	for u := 0; u < s.N(); u++ {
 		w := s.Neighbors(u)
 		for i := 1; i < len(w); i++ {
 			if w[i-1] >= w[i] {
 				t.Fatalf("Neighbors(%d) not strictly sorted: %v", u, w)
-			}
-		}
-	}
-}
-
-func TestSortInt32LargeWindows(t *testing.T) {
-	// Exercise the heapsort path (window >= 24).
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n := 24 + rng.Intn(200)
-		a := make([]int32, n)
-		for i := range a {
-			a[i] = int32(rng.Intn(50))
-		}
-		sortInt32(a)
-		for i := 1; i < len(a); i++ {
-			if a[i-1] > a[i] {
-				t.Fatalf("not sorted at %d: %v", i, a)
 			}
 		}
 	}
@@ -221,7 +203,7 @@ func TestComponents(t *testing.T) {
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 3, 4)
 	// 5, 6 isolated
-	comp, sizes := Components(g.Static())
+	comp, sizes := Components(g.CSR())
 	if len(sizes) != 4 {
 		t.Fatalf("component count = %d, want 4", len(sizes))
 	}
@@ -265,22 +247,22 @@ func TestGiantComponentEmpty(t *testing.T) {
 }
 
 func TestIsConnected(t *testing.T) {
-	if !IsConnected(New(0).Static()) {
+	if !IsConnected(NewCSR(0)) {
 		t.Error("empty graph should be connected")
 	}
 	g := path(t, 5)
-	if !IsConnected(g.Static()) {
+	if !IsConnected(g.CSR()) {
 		t.Error("path should be connected")
 	}
 	g.RemoveEdge(2, 3)
-	if IsConnected(g.Static()) {
+	if IsConnected(g.CSR()) {
 		t.Error("broken path should be disconnected")
 	}
 }
 
 func TestBFSPath(t *testing.T) {
 	g := path(t, 6)
-	s := g.Static()
+	s := g.CSR()
 	dist := make([]int32, s.N())
 	queue := make([]int32, 0, s.N())
 	reached := BFS(s, 0, dist, queue)
@@ -297,7 +279,7 @@ func TestBFSPath(t *testing.T) {
 func TestBFSUnreachable(t *testing.T) {
 	g := New(4)
 	mustEdge(t, g, 0, 1)
-	s := g.Static()
+	s := g.CSR()
 	dist := make([]int32, s.N())
 	queue := make([]int32, 0, s.N())
 	reached := BFS(s, 0, dist, queue)
@@ -311,10 +293,10 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestEccentricity(t *testing.T) {
 	g := path(t, 5)
-	if got := Eccentricity(g.Static(), 0); got != 4 {
+	if got := Eccentricity(g.CSR(), 0); got != 4 {
 		t.Errorf("Eccentricity(end) = %d, want 4", got)
 	}
-	if got := Eccentricity(g.Static(), 2); got != 2 {
+	if got := Eccentricity(g.CSR(), 2); got != 2 {
 		t.Errorf("Eccentricity(middle) = %d, want 2", got)
 	}
 }
@@ -455,7 +437,7 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		m := rng.Intn(n * (n - 1) / 2)
 		g := randomGraph(rng, n, m)
-		s := g.Static()
+		s := g.CSR()
 
 		const inf = 1 << 29
 		d := make([][]int, n)
@@ -505,7 +487,7 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 func TestBridgesPath(t *testing.T) {
 	// Every edge of a path is a bridge.
 	g := path(t, 6)
-	bs := Bridges(g.Static())
+	bs := Bridges(g.CSR())
 	if len(bs) != 5 {
 		t.Errorf("path bridges = %d, want 5", len(bs))
 	}
@@ -517,7 +499,7 @@ func TestBridgesCycle(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustEdge(t, g, i, (i+1)%6)
 	}
-	if bs := Bridges(g.Static()); len(bs) != 0 {
+	if bs := Bridges(g.CSR()); len(bs) != 0 {
 		t.Errorf("cycle bridges = %v, want none", bs)
 	}
 }
@@ -528,7 +510,7 @@ func TestBridgesBarbell(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
 		mustEdge(t, g, e[0], e[1])
 	}
-	bs := Bridges(g.Static())
+	bs := Bridges(g.CSR())
 	if len(bs) != 1 || bs[0] != (Edge{2, 3}) {
 		t.Errorf("barbell bridges = %v, want [(2,3)]", bs)
 	}
@@ -537,7 +519,7 @@ func TestBridgesBarbell(t *testing.T) {
 // bruteBridges removes each edge and checks whether its component splits.
 func bruteBridges(g *Graph) map[Edge]bool {
 	out := make(map[Edge]bool)
-	base, _ := Components(g.Static())
+	base, _ := Components(g.CSR())
 	baseComps := make(map[int32]bool)
 	for _, c := range base {
 		baseComps[c] = true
@@ -546,7 +528,7 @@ func bruteBridges(g *Graph) map[Edge]bool {
 	for _, e := range g.Edges() {
 		h := g.Clone()
 		h.RemoveEdge(e.U, e.V)
-		_, sizes := Components(h.Static())
+		_, sizes := Components(h.CSR())
 		if len(sizes) > nBase+countIsolatedDiff(g, h) {
 			out[e] = true
 		}
@@ -566,7 +548,7 @@ func TestBridgesMatchBruteForceProperty(t *testing.T) {
 		m := rng.Intn(n * (n - 1) / 2)
 		g := randomGraph(rng, n, m)
 		want := bruteBridges(g)
-		got := BridgeSet(g.Static())
+		got := BridgeSet(g.CSR())
 		if len(got) != len(want) {
 			return false
 		}

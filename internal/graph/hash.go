@@ -10,8 +10,8 @@ import (
 	"strconv"
 )
 
-// EdgeLister is the minimal read surface shared by every graph
-// representation (Graph, CSR, Static): node/edge counts plus the
+// EdgeLister is the minimal read surface shared by both graph
+// representations (Graph, CSR): node/edge counts plus the
 // canonical-orientation edge list. Content addressing is defined over
 // it so all representations of one edge set hash identically.
 type EdgeLister interface {

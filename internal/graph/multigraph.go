@@ -75,7 +75,7 @@ func (mg *Multigraph) Simplify() (*CSR, Badness) {
 func (mg *Multigraph) SimplifyToGCC() (*CSR, []int, Badness) {
 	simple, bad := mg.Simplify()
 	// Isolated nodes are counted as small components of size 1.
-	_, sizes := Components(simple.Static())
+	_, sizes := Components(simple)
 	bad.ComponentCount = len(sizes)
 	gcc, newToOld := GiantComponent(simple)
 	bad.SmallCCNodes = simple.N() - gcc.N()

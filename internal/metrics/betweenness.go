@@ -42,7 +42,7 @@ func newBrandesScratch(n int) *brandesScratch {
 // with shortest-path counting, filling dist, sigma, delta (zeroed) and
 // the traversal stack. The node and edge variants differ only in their
 // backward dependency loops.
-func (sc *brandesScratch) forward(s *graph.Static, src int) {
+func (sc *brandesScratch) forward(s *graph.CSR, src int) {
 	n := s.N()
 	for i := 0; i < n; i++ {
 		sc.dist[i] = -1
@@ -73,7 +73,7 @@ func (sc *brandesScratch) forward(s *graph.Static, src int) {
 
 // accumulate runs one Brandes pass from src, adding the source's
 // dependency contributions into bc.
-func (sc *brandesScratch) accumulate(s *graph.Static, src int, bc []float64) {
+func (sc *brandesScratch) accumulate(s *graph.CSR, src int, bc []float64) {
 	sc.forward(s, src)
 	// Dependency accumulation in reverse BFS order.
 	for i := len(sc.stack) - 1; i > 0; i-- {
@@ -93,15 +93,19 @@ func (sc *brandesScratch) accumulate(s *graph.Static, src int, bc []float64) {
 // algorithm in O(n·m). The returned values count, for each node v, the
 // sum over source–target pairs (s ≠ t ≠ v) of the fraction of shortest
 // s–t paths passing through v; each unordered pair is counted once.
-func Betweenness(s *graph.Static) []float64 {
+func Betweenness(s *graph.CSR) []float64 {
 	return betweenness(s, nil)
 }
 
 // SampledBetweenness estimates betweenness from `sources` random BFS
 // roots, scaled up by n/sources so values are comparable to the exact
-// computation. If sources >= n it is exact.
-func SampledBetweenness(s *graph.Static, sources int, rng *rand.Rand) []float64 {
+// computation. If sources >= n it is exact. Non-positive sources yield a
+// zero vector without touching rng, matching SampledDistances.
+func SampledBetweenness(s *graph.CSR, sources int, rng *rand.Rand) []float64 {
 	n := s.N()
+	if sources <= 0 {
+		return make([]float64, n)
+	}
 	if sources >= n {
 		return Betweenness(s)
 	}
@@ -118,7 +122,7 @@ func SampledBetweenness(s *graph.Static, sources int, rng *rand.Rand) []float64 
 // pool. Sources are split into fixed chunks; each chunk accumulates into
 // its own partial vector and partials are merged in chunk order, so the
 // result is bit-identical at every worker count (see accumChunks).
-func betweenness(s *graph.Static, srcs []int) []float64 {
+func betweenness(s *graph.CSR, srcs []int) []float64 {
 	n := s.N()
 	srcAt := func(i int) int { return i }
 	nsrc := n
@@ -157,7 +161,7 @@ func betweenness(s *graph.Static, srcs []int) []float64 {
 // NormalizedBetweenness divides betweenness values by the number of node
 // pairs n·(n−1)/2, yielding the dimensionless quantity plotted against
 // degree in Figures 6(b) and 9 of the paper.
-func NormalizedBetweenness(s *graph.Static) []float64 {
+func NormalizedBetweenness(s *graph.CSR) []float64 {
 	bc := Betweenness(s)
 	n := float64(s.N())
 	norm := n * (n - 1) / 2
@@ -173,7 +177,7 @@ func NormalizedBetweenness(s *graph.Static) []float64 {
 // MeanByDegree averages the values of a per-node metric over each degree
 // class, returning degree → mean. This produces the per-degree series of
 // Figures 6(b) and 9.
-func MeanByDegree(s *graph.Static, values []float64) map[int]float64 {
+func MeanByDegree(s *graph.CSR, values []float64) map[int]float64 {
 	sum := make(map[int]float64)
 	cnt := make(map[int]int)
 	for v, x := range values {
@@ -191,7 +195,7 @@ func MeanByDegree(s *graph.Static, values []float64) map[int]float64 {
 // AutoBetweenness is the size-adaptive entry point: exact Brandes up to
 // AutoSampleThreshold nodes, SampledBetweenness with AutoSampleSources
 // sources above it. With a nil rng the exact pass always runs.
-func AutoBetweenness(s *graph.Static, rng *rand.Rand) []float64 {
+func AutoBetweenness(s *graph.CSR, rng *rand.Rand) []float64 {
 	if s.N() > AutoSampleThreshold && rng != nil {
 		return SampledBetweenness(s, AutoSampleSources, rng)
 	}

@@ -21,7 +21,7 @@ type DistanceDistribution struct {
 
 // Distances computes the exact distance distribution by running a BFS from
 // every node. Cost is O(n·m).
-func Distances(s *graph.Static) *DistanceDistribution {
+func Distances(s *graph.CSR) *DistanceDistribution {
 	return distances(s, nil, nil)
 }
 
@@ -37,7 +37,7 @@ func Distances(s *graph.Static) *DistanceDistribution {
 // n RNG draws) even for tiny samples. The RNG stream therefore differs
 // from pre-rewrite versions: the same seed selects a different (still
 // uniform) source set. See docs/PERF.md.
-func SampledDistances(s *graph.Static, sources int, rng *rand.Rand) *DistanceDistribution {
+func SampledDistances(s *graph.CSR, sources int, rng *rand.Rand) *DistanceDistribution {
 	n := s.N()
 	if sources <= 0 {
 		return &DistanceDistribution{Count: make([]int64, 2)}
@@ -89,7 +89,7 @@ func bfsScratchFor(scratch []*bfsScratch, worker, n int) *bfsScratch {
 // Each chunk of sources tallies into its own histogram; histograms hold
 // integer counts, so merging them (in chunk order, for uniformity with
 // the float-valued metrics) is exact and worker-count independent.
-func distances(s *graph.Static, srcs []int, _ *rand.Rand) *DistanceDistribution {
+func distances(s *graph.CSR, srcs []int, _ *rand.Rand) *DistanceDistribution {
 	n := s.N()
 	srcAt := func(i int) int { return i }
 	nsrc := n

@@ -9,7 +9,7 @@ import (
 	"repro/internal/graph"
 )
 
-func build(t testing.TB, n int, edges [][2]int) *graph.Static {
+func build(t testing.TB, n int, edges [][2]int) *graph.CSR {
 	t.Helper()
 	g := graph.NewCSR(n)
 	for _, e := range edges {
@@ -17,25 +17,25 @@ func build(t testing.TB, n int, edges [][2]int) *graph.Static {
 			t.Fatal(err)
 		}
 	}
-	return g.Static()
+	return g
 }
 
 // paw: triangle {0,1,2} + pendant 3 on node 2.
-func paw(t testing.TB) *graph.Static {
+func paw(t testing.TB) *graph.CSR {
 	return build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 }
 
-func star(t testing.TB, leaves int) *graph.Static {
+func star(t testing.TB, leaves int) *graph.CSR {
 	g := graph.NewCSR(leaves + 1)
 	for i := 1; i <= leaves; i++ {
 		if err := g.AddEdge(0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g.Static()
+	return g
 }
 
-func petersen(t testing.TB) *graph.Static {
+func petersen(t testing.TB) *graph.CSR {
 	// Outer 5-cycle 0..4, inner pentagram 5..9, spokes i—i+5.
 	edges := [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0},
@@ -45,7 +45,7 @@ func petersen(t testing.TB) *graph.Static {
 	return build(t, 10, edges)
 }
 
-func connectedRandom(rng *rand.Rand, n, extra int) *graph.Static {
+func connectedRandom(rng *rand.Rand, n, extra int) *graph.CSR {
 	g := graph.NewCSR(n)
 	for i := 1; i < n; i++ {
 		if err := g.AddEdge(i, rng.Intn(i)); err != nil {
@@ -65,7 +65,7 @@ func connectedRandom(rng *rand.Rand, n, extra int) *graph.Static {
 		}
 		added++
 	}
-	return g.Static()
+	return g
 }
 
 func TestTrianglesPaw(t *testing.T) {
@@ -143,7 +143,7 @@ func TestAssortativityRegular(t *testing.T) {
 	if got := Assortativity(petersen(t)); got != 0 {
 		t.Errorf("Petersen r = %v, want 0", got)
 	}
-	if got := Assortativity(graph.NewCSR(5).Static()); got != 0 {
+	if got := Assortativity(graph.NewCSR(5)); got != 0 {
 		t.Errorf("empty r = %v, want 0", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestS2Paw(t *testing.T) {
 }
 
 // bruteS2 enumerates all open wedges directly.
-func bruteS2(s *graph.Static) float64 {
+func bruteS2(s *graph.CSR) float64 {
 	var sum float64
 	for c := 0; c < s.N(); c++ {
 		nb := s.Neighbors(c)
@@ -274,6 +274,26 @@ func TestSampledDistancesNonPositiveSources(t *testing.T) {
 	}
 }
 
+func TestSampledBetweennessNonPositiveSources(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	s := connectedRandom(rng, 40, 80)
+	for _, sources := range []int{0, -3} {
+		bc := SampledBetweenness(s, sources, rng)
+		if len(bc) != s.N() {
+			t.Fatalf("sources=%d: len = %d, want %d", sources, len(bc), s.N())
+		}
+		for v, x := range bc {
+			if x != 0 {
+				t.Fatalf("sources=%d: bc[%d] = %v, want 0", sources, v, x)
+			}
+		}
+	}
+	// The guard must not consume RNG state: a nil rng is never touched.
+	if bc := SampledBetweenness(s, 0, nil); len(bc) != s.N() {
+		t.Error("sources=0 with nil rng should return the zero vector")
+	}
+}
+
 func TestPartialPermDistinctAndUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, k, trials = 50, 12, 4000
@@ -308,7 +328,7 @@ func TestPartialPermDistinctAndUniform(t *testing.T) {
 
 // bruteBetweenness computes betweenness by explicit shortest-path
 // enumeration (BFS shortest-path DAG counting per pair).
-func bruteBetweenness(s *graph.Static) []float64 {
+func bruteBetweenness(s *graph.CSR) []float64 {
 	n := s.N()
 	bc := make([]float64, n)
 	dist := make([]int32, n)

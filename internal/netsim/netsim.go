@@ -36,7 +36,7 @@ type RobustnessPoint struct {
 // or highest-degree-first when targeted is true (the attack model of
 // Albert et al. that the paper's robustness citations build on) — and
 // reports the giant-component share among all original nodes.
-func Robustness(s *graph.Static, fracs []float64, targeted bool, rng *rand.Rand) ([]RobustnessPoint, error) {
+func Robustness(s *graph.CSR, fracs []float64, targeted bool, rng *rand.Rand) ([]RobustnessPoint, error) {
 	n := s.N()
 	if n == 0 {
 		return nil, invalidf("empty graph")
@@ -77,7 +77,7 @@ func Robustness(s *graph.Static, fracs []float64, targeted bool, rng *rand.Rand)
 
 // gccFracUnder computes the largest connected component among nodes not
 // marked removed, as a fraction of the total node count.
-func gccFracUnder(s *graph.Static, removed []bool) float64 {
+func gccFracUnder(s *graph.CSR, removed []bool) float64 {
 	n := s.N()
 	comp := make([]int32, n)
 	for i := range comp {
@@ -137,7 +137,7 @@ func (w WormResult) RoundsTo(frac float64) int {
 // experiment the paper ties to the distance distribution. beta must lie
 // in (0,1]: a zero rate never spreads yet keeps every frontier node
 // "infectious", so the loop would spin until maxRounds for nothing.
-func WormSpread(s *graph.Static, beta float64, maxRounds int, rng *rand.Rand) (WormResult, error) {
+func WormSpread(s *graph.CSR, beta float64, maxRounds int, rng *rand.Rand) (WormResult, error) {
 	n := s.N()
 	if n == 0 {
 		return WormResult{}, invalidf("empty graph")
@@ -204,7 +204,7 @@ type RoutingResult struct {
 // selects the default bound of 4n hops. Graphs with fewer than two nodes
 // have no source–target pairs and yield the zero result rather than an
 // error, so degenerate ensemble members produce well-defined curves.
-func GreedyDegreeRouting(s *graph.Static, trials, ttl int, rng *rand.Rand) (RoutingResult, error) {
+func GreedyDegreeRouting(s *graph.CSR, trials, ttl int, rng *rand.Rand) (RoutingResult, error) {
 	n := s.N()
 	if trials <= 0 {
 		return RoutingResult{}, invalidf("trials %d must be positive", trials)

@@ -595,15 +595,15 @@ func (ex *executor) runNetsim(st dkapi.PipelineStep) (*dkapi.StepResult, error) 
 		return nil, err
 	}
 	done := ex.phase(st.Op, "resolve")
-	measured := h.Graph().Static()
-	ensemble := make([]*graph.Static, len(st.Ensemble))
+	measured := h.Graph()
+	ensemble := make([]*graph.CSR, len(st.Ensemble))
 	for i, ref := range st.Ensemble {
 		eh, err := ex.resolve(ref)
 		if err != nil {
 			done()
 			return nil, fmt.Errorf("ensemble[%d]: %w", i, err)
 		}
-		ensemble[i] = eh.Graph().Static()
+		ensemble[i] = eh.Graph()
 	}
 	done()
 	seed := analysisSeed(st.Seed)

@@ -162,9 +162,9 @@ func withDefaults(sp dkapi.ScenarioSpec) dkapi.ScenarioSpec {
 // ensemble and reduces the fan-out into comparison curves. seed is the
 // scenario's own seed stream (the caller derives one per scenario from
 // the step seed); sp must have passed validateSpec.
-func Run(measured *graph.Static, ensemble []*graph.Static, sp dkapi.ScenarioSpec, seed int64) (dkapi.ScenarioCurves, error) {
+func Run(measured *graph.CSR, ensemble []*graph.CSR, sp dkapi.ScenarioSpec, seed int64) (dkapi.ScenarioCurves, error) {
 	sp = withDefaults(sp)
-	graphs := make([]*graph.Static, 0, 1+len(ensemble))
+	graphs := make([]*graph.CSR, 0, 1+len(ensemble))
 	graphs = append(graphs, measured)
 	graphs = append(graphs, ensemble...)
 	trials := sp.Trials
@@ -196,7 +196,7 @@ func Run(measured *graph.Static, ensemble []*graph.Static, sp dkapi.ScenarioSpec
 
 // runTrial runs one (graph, trial) task and returns its curve on the
 // scenario's fixed x grid.
-func runTrial(s *graph.Static, sp dkapi.ScenarioSpec, rng *rand.Rand) ([]dkapi.CurvePoint, error) {
+func runTrial(s *graph.CSR, sp dkapi.ScenarioSpec, rng *rand.Rand) ([]dkapi.CurvePoint, error) {
 	switch sp.Kind {
 	case dkapi.ScenarioRobustness:
 		pts, err := netsim.Robustness(s, sp.Fracs, sp.Targeted, rng)

@@ -48,8 +48,6 @@ type Entry struct {
 
 	mu        sync.Mutex
 	g         *graph.CSR
-	static    *graph.Static
-	gcc       *graph.Static
 	profile   *dk.Profile // deepest extraction so far
 	summaries map[summaryKey]metrics.Summary
 }
@@ -64,16 +62,6 @@ func (e *Entry) Graph() *graph.CSR { return e.g }
 
 // Size returns the graph's node and edge counts.
 func (e *Entry) Size() (n, m int) { return e.g.N(), e.g.M() }
-
-// Static returns the CSR form of the graph, built once and reused.
-func (e *Entry) Static() *graph.Static {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.static == nil {
-		e.static = e.g.Static()
-	}
-	return e.static
-}
 
 // Profile returns the dK-profile of the graph at depth d, extracting it
 // on first use. Deeper extractions subsume shallower ones via the
@@ -130,8 +118,9 @@ func (e *Entry) ProfileSpan(d int, sp *trace.Span) (*dk.Profile, bool, error) {
 
 // Summary returns the scalar metric suite of the graph's giant connected
 // component (the paper's convention), computing and caching it per
-// (spectral, sources, seed) configuration. The second result reports
-// whether the summary was served from cache.
+// (spectral, sources, seed) configuration. The component is extracted
+// on each miss and not retained. The second result reports whether the
+// summary was served from cache.
 func (e *Entry) Summary(spectral bool, sources int, seed int64) (metrics.Summary, bool, error) {
 	key := summaryKey{spectral, sources, seed}
 	e.mu.Lock()
@@ -139,11 +128,8 @@ func (e *Entry) Summary(spectral bool, sources int, seed int64) (metrics.Summary
 	if s, ok := e.summaries[key]; ok {
 		return s, true, nil
 	}
-	if e.gcc == nil {
-		gcc, _ := graph.GiantComponent(e.g)
-		e.gcc = gcc.Static()
-	}
-	s, err := metrics.Summarize(e.gcc, metrics.SummaryOptions{
+	gcc, _ := graph.GiantComponent(e.g)
+	s, err := metrics.Summarize(gcc, metrics.SummaryOptions{
 		Spectral:        spectral,
 		DistanceSources: sources,
 		Rng:             rand.New(rand.NewSource(seed)),

@@ -132,7 +132,7 @@ func equalCounts[K comparable](a, b map[K]int64) bool {
 // (open two-path) convention. Compared to the per-center pair enumeration
 // it replaces, this eliminates the deg² HasEdge binary searches that made
 // hub-heavy power-law graphs fall off a cliff at d=3 extraction.
-func Count(s graph.Adjacency) *Census {
+func Count(s *graph.CSR) *Census {
 	n := s.N()
 	deg := make([]int, n)
 	maxDeg := 0

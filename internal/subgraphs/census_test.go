@@ -67,7 +67,7 @@ func TestTriangleKeyCanonical(t *testing.T) {
 
 func TestCountTriangleGraph(t *testing.T) {
 	g := build(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	c := Count(g.Static())
+	c := Count(g.CSR())
 	if c.TotalWedges() != 0 {
 		t.Errorf("K3 wedges = %d, want 0", c.TotalWedges())
 	}
@@ -78,7 +78,7 @@ func TestCountTriangleGraph(t *testing.T) {
 
 func TestCountPath3(t *testing.T) {
 	g := build(t, 3, [][2]int{{0, 1}, {1, 2}})
-	c := Count(g.Static())
+	c := Count(g.CSR())
 	if c.Wedges[WedgeKey{1, 2, 1}] != 1 || c.TotalWedges() != 1 {
 		t.Errorf("P3 wedges = %v", c.Wedges)
 	}
@@ -89,7 +89,7 @@ func TestCountPath3(t *testing.T) {
 
 func TestCountStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	c := Count(g.Static())
+	c := Count(g.CSR())
 	if c.Wedges[WedgeKey{1, 3, 1}] != 3 || c.TotalWedges() != 3 {
 		t.Errorf("K1,3 wedges = %v", c.Wedges)
 	}
@@ -101,7 +101,7 @@ func TestCountStar(t *testing.T) {
 func TestCountPaperExample(t *testing.T) {
 	// Triangle 0,1,2 plus pendant 3 attached to 2.
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	c := Count(g.Static())
+	c := Count(g.CSR())
 	if got := c.Wedges[WedgeKey{1, 3, 2}]; got != 2 {
 		t.Errorf("wedge class (1,3,2) = %d, want 2 (map: %v)", got, c.Wedges)
 	}
@@ -133,7 +133,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 		n := 3 + rng.Intn(18)
 		m := rng.Intn(n*(n-1)/2 + 1)
 		g := randomGraph(rng, n, m)
-		return Count(g.Static()).Equal(bruteCensus(g))
+		return Count(g.CSR()).Equal(bruteCensus(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -144,7 +144,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 // enumeration with a HasEdge probe per pair. It is kept as the
 // differential oracle for the class-histogram counter on graphs large
 // enough that brute-force triple enumeration is unaffordable.
-func countReference(s *graph.Static) *Census {
+func countReference(s *graph.CSR) *Census {
 	c := NewCensus()
 	n := s.N()
 	deg := make([]int, n)
@@ -203,7 +203,7 @@ func hubGraph(rng *rand.Rand, n, m int) *graph.Graph {
 // bitset threshold) — the regime the rewrite exists for.
 func TestCountMatchesReferenceHubGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := hubGraph(rng, 400, 1400).Static()
+	s := hubGraph(rng, 400, 1400).CSR()
 	if s.MaxDegree() < DefaultBitsetThreshold {
 		t.Fatalf("max degree %d below bitset threshold %d; test graph too tame", s.MaxDegree(), DefaultBitsetThreshold)
 	}
@@ -221,7 +221,7 @@ func TestCountMatchesReferenceMapFallback(t *testing.T) {
 	denseLimit = 1
 	defer func() { denseLimit = old }()
 	rng := rand.New(rand.NewSource(7))
-	s := hubGraph(rng, 200, 700).Static()
+	s := hubGraph(rng, 200, 700).CSR()
 	if !Count(s).Equal(countReference(s)) {
 		t.Error("map-fallback census disagrees with reference")
 	}
@@ -237,7 +237,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 		m := 4 + rng.Intn(n*(n-1)/2-3)
 		g := randomGraph(rng, n, m)
 		deg := g.DegreeSequence()
-		before := Count(g.Static())
+		before := Count(g.CSR())
 
 		// Try to find a valid degree-preserving swap.
 		for attempt := 0; attempt < 200; attempt++ {
@@ -264,7 +264,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 			d.AddEdge(g, deg, x, v)
 			g.AddEdge(x, v)
 
-			after := Count(g.Static())
+			after := Count(g.CSR())
 			d.ApplyTo(before)
 			return before.Equal(after)
 		}
@@ -311,7 +311,7 @@ func TestDeltaAddRemoveCancel(t *testing.T) {
 
 func TestCensusClone(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	c := Count(g.Static())
+	c := Count(g.CSR())
 	cl := c.Clone()
 	if !c.Equal(cl) {
 		t.Fatal("clone not equal")
@@ -324,7 +324,7 @@ func TestCensusClone(t *testing.T) {
 
 func TestSize4CensusPaw(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	c := CountSize4(g.Static())
+	c := CountSize4(g.CSR())
 	want := Size4Census{Path4: 2, Claw: 1, Cycle4: 0, Paw: 1, Diamond: 0, K4: 0}
 	if c != want {
 		t.Errorf("paw census = %+v, want %+v", c, want)
@@ -333,7 +333,7 @@ func TestSize4CensusPaw(t *testing.T) {
 
 func TestSize4CensusK4(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	c := CountSize4(g.Static())
+	c := CountSize4(g.CSR())
 	// K4 contains: 4 claws (one per center), 12 P4s (4!/2), 3 C4s,
 	// 12 paws (4 triangles × 3 pendant choices... each triangle has 3
 	// vertices each with degree 3 → (3-2)*3 = 3 per triangle × 4 = 12),
@@ -346,7 +346,7 @@ func TestSize4CensusK4(t *testing.T) {
 
 func TestSize4CensusCycle(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	c := CountSize4(g.Static())
+	c := CountSize4(g.CSR())
 	want := Size4Census{Path4: 4, Claw: 0, Cycle4: 1, Paw: 0, Diamond: 0, K4: 0}
 	if c != want {
 		t.Errorf("C4 census = %+v, want %+v", c, want)
@@ -355,7 +355,7 @@ func TestSize4CensusCycle(t *testing.T) {
 
 func TestSize4CensusStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	c := CountSize4(g.Static())
+	c := CountSize4(g.CSR())
 	want := Size4Census{Path4: 0, Claw: 1}
 	if c != want {
 		t.Errorf("K1,3 census = %+v, want %+v", c, want)
