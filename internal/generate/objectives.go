@@ -10,19 +10,26 @@ import (
 )
 
 // Objective scores candidate rewiring moves incrementally. The Rewirer
-// calls Begin, then WillRemove/WillAdd immediately before each edge
-// mutation of the candidate (so the objective sees the adjacency state
-// right before the change), then reads Delta and finally either Commits or
-// Rolls back. Objectives must be cheap: they are evaluated once per
-// proposal.
+// calls Delta with the graph as it stands before the move — Delta is
+// read-only — and, if the move is kept, Commit with the same move once it
+// has been applied. Objectives must be cheap: they are evaluated once per
+// structurally valid proposal.
 type Objective interface {
 	Init(g *graph.CSR) error
-	Begin()
-	WillRemove(g *graph.CSR, u, v int)
-	WillAdd(g *graph.CSR, u, v int)
-	Delta() float64
-	Commit()
-	Rollback()
+	Delta(g *graph.CSR, m Move) float64
+	Commit(m Move)
+}
+
+// addCounts folds the pending count changes into counts, dropping
+// classes that return to zero.
+func addCounts[K comparable, V int | int64](counts, pending map[K]V) {
+	for k, v := range pending {
+		if nv := counts[k] + v; nv == 0 {
+			delete(counts, k)
+		} else {
+			counts[k] = nv
+		}
+	}
 }
 
 // --- D1: degree-distribution distance (1K-targeting, 0K-preserving) ---
@@ -51,12 +58,6 @@ func (o *DegreeDistObjective) Init(g *graph.CSR) error {
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *DegreeDistObjective) Begin() {
-	clear(o.pending)
-	o.delta = 0
-}
-
 func (o *DegreeDistObjective) moveNode(from, to int) {
 	o.bump(from, -1)
 	o.bump(to, +1)
@@ -72,32 +73,32 @@ func (o *DegreeDistObjective) bump(k, s int) {
 	o.pending[k] += s
 }
 
-// WillRemove lowers both endpoint degrees by one.
-func (o *DegreeDistObjective) WillRemove(g *graph.CSR, u, v int) {
-	du, dv := g.Degree(u), g.Degree(v)
+// Delta returns the D1 change of a depth-0 move: (U,V) loses an edge
+// end at each endpoint, then (X,Y) gains one, with X's and Y's degrees
+// read after (U,V) is removed. Double-edge swaps keep every degree.
+func (o *DegreeDistObjective) Delta(g *graph.CSR, m Move) float64 {
+	clear(o.pending)
+	o.delta = 0
+	if m.Depth > 0 {
+		return 0
+	}
+	du, dv := g.Degree(m.U), g.Degree(m.V)
 	o.moveNode(du, du-1)
 	o.moveNode(dv, dv-1)
+	dx, dy := g.Degree(m.X), g.Degree(m.Y)
+	if m.X == m.U || m.X == m.V {
+		dx--
+	}
+	if m.Y == m.U || m.Y == m.V {
+		dy--
+	}
+	o.moveNode(dx, dx+1)
+	o.moveNode(dy, dy+1)
+	return o.delta
 }
-
-// WillAdd raises both endpoint degrees by one.
-func (o *DegreeDistObjective) WillAdd(g *graph.CSR, u, v int) {
-	du, dv := g.Degree(u), g.Degree(v)
-	o.moveNode(du, du+1)
-	o.moveNode(dv, dv+1)
-}
-
-// Delta returns the candidate's D1 change.
-func (o *DegreeDistObjective) Delta() float64 { return o.delta }
 
 // Commit folds the pending changes into the tracked distribution.
-func (o *DegreeDistObjective) Commit() {
-	for k, s := range o.pending {
-		o.current[k] += s
-	}
-}
-
-// Rollback discards the pending changes.
-func (o *DegreeDistObjective) Rollback() {}
+func (o *DegreeDistObjective) Commit(Move) { addCounts(o.current, o.pending) }
 
 // Current returns the tracked D1 value recomputed from state (test hook).
 func (o *DegreeDistObjective) Current() float64 {
@@ -145,12 +146,6 @@ func (o *JDDObjective) Init(g *graph.CSR) error {
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *JDDObjective) Begin() {
-	clear(o.pending)
-	o.delta = 0
-}
-
 func (o *JDDObjective) bump(u, v, s int) {
 	p := dk.NewDegPair(o.deg[u], o.deg[v])
 	c := float64(o.current[p] + o.pending[p])
@@ -159,24 +154,21 @@ func (o *JDDObjective) bump(u, v, s int) {
 	o.pending[p] += s
 }
 
-// WillRemove decrements the edge's degree-pair class.
-func (o *JDDObjective) WillRemove(g *graph.CSR, u, v int) { o.bump(u, v, -1) }
-
-// WillAdd increments the edge's degree-pair class.
-func (o *JDDObjective) WillAdd(g *graph.CSR, u, v int) { o.bump(u, v, +1) }
-
-// Delta returns the candidate's D2 change.
-func (o *JDDObjective) Delta() float64 { return o.delta }
-
-// Commit folds the pending changes into the tracked JDD.
-func (o *JDDObjective) Commit() {
-	for p, s := range o.pending {
-		o.current[p] += s
-	}
+// Delta returns the D2 change of a double-edge swap: the degree-pair
+// classes of (U,V) and (X,Y) lose an edge, those of (U,Y) and (X,V)
+// gain one.
+func (o *JDDObjective) Delta(_ *graph.CSR, m Move) float64 {
+	clear(o.pending)
+	o.delta = 0
+	o.bump(m.U, m.V, -1)
+	o.bump(m.X, m.Y, -1)
+	o.bump(m.U, m.Y, +1)
+	o.bump(m.X, m.V, +1)
+	return o.delta
 }
 
-// Rollback discards the pending changes.
-func (o *JDDObjective) Rollback() {}
+// Commit folds the pending changes into the tracked JDD.
+func (o *JDDObjective) Commit(Move) { addCounts(o.current, o.pending) }
 
 // Current recomputes D2 from tracked state (test hook).
 func (o *JDDObjective) Current() float64 {
@@ -197,14 +189,42 @@ func (o *JDDObjective) Current() float64 {
 
 // --- D3: wedge/triangle census distance (3K-targeting, 2K-preserving) ---
 
+// swapCensus scores double-edge swaps by their exact census change
+// through a subgraphs.Tracker: the read-only swap delta is drained into
+// a small pending census, and kept moves update the tracker's bitsets.
+// Its moves must be 2K-preserving (depth-2 rewiring), the precondition of
+// Tracker.SwapDeltaJDD.
+type swapCensus struct {
+	tracker *subgraphs.Tracker
+	td      *subgraphs.TrackerDelta
+	pend    *subgraphs.Census
+}
+
+func (c *swapCensus) init(g *graph.CSR) {
+	c.tracker = subgraphs.NewTracker(g, g.DegreeSequence())
+	c.td = c.tracker.NewDelta()
+	c.pend = subgraphs.NewCensus()
+}
+
+// delta returns the census change of m, valid until the next call.
+func (c *swapCensus) delta(m Move) *subgraphs.Census {
+	clear(c.pend.Wedges)
+	clear(c.pend.Triangles)
+	c.tracker.SwapDeltaJDD(c.td, m.U, m.V, m.X, m.Y)
+	c.td.Drain(c.pend)
+	return c.pend
+}
+
+// commit syncs the tracker with the applied move.
+func (c *swapCensus) commit(m Move) { c.tracker.ApplySwap(m.U, m.V, m.X, m.Y) }
+
 // CensusObjective tracks the paper's D3 — squared count differences over
-// wedge and triangle classes — under degree-preserving moves, using the
-// incremental census deltas from internal/subgraphs.
+// wedge and triangle classes — under 2K-preserving moves, using the
+// incremental census deltas of a subgraphs.Tracker.
 type CensusObjective struct {
 	target  *subgraphs.Census
 	current *subgraphs.Census
-	pend    *subgraphs.Delta
-	deg     []int
+	swaps   swapCensus
 }
 
 // NewCensusObjective targets the given wedge/triangle census.
@@ -212,38 +232,25 @@ func NewCensusObjective(target *subgraphs.Census) *CensusObjective {
 	return &CensusObjective{target: target}
 }
 
-// Init counts g's census.
+// Init counts g's census and builds the tracker over g.
 func (o *CensusObjective) Init(g *graph.CSR) error {
 	o.current = subgraphs.Count(g)
-	o.pend = subgraphs.NewDelta()
-	o.deg = g.DegreeSequence()
+	o.swaps.init(g)
 	return nil
 }
 
-// Begin resets the candidate delta.
-func (o *CensusObjective) Begin() { o.pend.Reset() }
-
-// WillRemove accumulates the census change of deleting (u,v).
-func (o *CensusObjective) WillRemove(g *graph.CSR, u, v int) {
-	o.pend.RemoveEdge(g, o.deg, u, v)
-}
-
-// WillAdd accumulates the census change of inserting (u,v).
-func (o *CensusObjective) WillAdd(g *graph.CSR, u, v int) {
-	o.pend.AddEdge(g, o.deg, u, v)
-}
-
-// Delta returns the candidate's D3 change: for each class with pending
+// Delta returns the move's D3 change: for each class with pending
 // change δ against current count c and target t, the squared-error change
 // is δ·(2(c−t)+δ).
-func (o *CensusObjective) Delta() float64 {
+func (o *CensusObjective) Delta(_ *graph.CSR, m Move) float64 {
+	pend := o.swaps.delta(m)
 	var sum float64
-	for k, d := range o.pend.Wedges {
+	for k, d := range pend.Wedges {
 		c := float64(o.current.Wedges[k])
 		t := float64(o.target.Wedges[k])
 		sum += float64(d) * (2*(c-t) + float64(d))
 	}
-	for k, d := range o.pend.Triangles {
+	for k, d := range pend.Triangles {
 		c := float64(o.current.Triangles[k])
 		t := float64(o.target.Triangles[k])
 		sum += float64(d) * (2*(c-t) + float64(d))
@@ -251,11 +258,12 @@ func (o *CensusObjective) Delta() float64 {
 	return sum
 }
 
-// Commit folds the pending delta into the tracked census.
-func (o *CensusObjective) Commit() { o.pend.ApplyTo(o.current) }
-
-// Rollback discards the pending delta.
-func (o *CensusObjective) Rollback() {}
+// Commit folds the pending census change into the tracked census.
+func (o *CensusObjective) Commit(m Move) {
+	addCounts(o.current.Wedges, o.swaps.pend.Wedges)
+	addCounts(o.current.Triangles, o.swaps.pend.Triangles)
+	o.swaps.commit(m)
+}
 
 // Current recomputes D3 from tracked state (test hook).
 func (o *CensusObjective) Current() float64 {
@@ -268,8 +276,7 @@ func (o *CensusObjective) Current() float64 {
 // the 1K-space exploration metric of Section 4.3. Degree-preserving moves
 // only.
 type LikelihoodObjective struct {
-	deg   []int
-	delta float64
+	deg []int
 }
 
 // Init caches the degree sequence.
@@ -278,71 +285,45 @@ func (o *LikelihoodObjective) Init(g *graph.CSR) error {
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *LikelihoodObjective) Begin() { o.delta = 0 }
-
-// WillRemove subtracts the removed edge's degree product.
-func (o *LikelihoodObjective) WillRemove(g *graph.CSR, u, v int) {
-	o.delta -= float64(o.deg[u]) * float64(o.deg[v])
+// Delta returns the swap's S change: the degree products of the two
+// removed edges leave the sum, those of the two added edges enter it.
+func (o *LikelihoodObjective) Delta(_ *graph.CSR, m Move) float64 {
+	d := o.deg
+	delta := -float64(d[m.U]) * float64(d[m.V])
+	delta -= float64(d[m.X]) * float64(d[m.Y])
+	delta += float64(d[m.U]) * float64(d[m.Y])
+	delta += float64(d[m.X]) * float64(d[m.V])
+	return delta
 }
-
-// WillAdd adds the inserted edge's degree product.
-func (o *LikelihoodObjective) WillAdd(g *graph.CSR, u, v int) {
-	o.delta += float64(o.deg[u]) * float64(o.deg[v])
-}
-
-// Delta returns the candidate's S change.
-func (o *LikelihoodObjective) Delta() float64 { return o.delta }
 
 // Commit is a no-op: S is fully determined by the graph.
-func (o *LikelihoodObjective) Commit() {}
-
-// Rollback is a no-op.
-func (o *LikelihoodObjective) Rollback() {}
+func (o *LikelihoodObjective) Commit(Move) {}
 
 // S2Objective scores moves by the second-order likelihood
-// S2 = Σ_{open wedges} d_end1·d_end2, via the census delta. Degree-
-// preserving moves only.
+// S2 = Σ_{open wedges} d_end1·d_end2, via the census delta. 2K-preserving
+// moves only.
 type S2Objective struct {
-	pend *subgraphs.Delta
-	deg  []int
+	swaps swapCensus
 }
 
-// Init prepares the delta accumulator.
+// Init builds the tracker over g.
 func (o *S2Objective) Init(g *graph.CSR) error {
-	o.pend = subgraphs.NewDelta()
-	o.deg = g.DegreeSequence()
+	o.swaps.init(g)
 	return nil
 }
 
-// Begin resets the candidate delta.
-func (o *S2Objective) Begin() { o.pend.Reset() }
-
-// WillRemove accumulates the census change of deleting (u,v).
-func (o *S2Objective) WillRemove(g *graph.CSR, u, v int) {
-	o.pend.RemoveEdge(g, o.deg, u, v)
-}
-
-// WillAdd accumulates the census change of inserting (u,v).
-func (o *S2Objective) WillAdd(g *graph.CSR, u, v int) {
-	o.pend.AddEdge(g, o.deg, u, v)
-}
-
-// Delta returns the candidate's S2 change: Σ over wedge classes of
+// Delta returns the move's S2 change: Σ over wedge classes of
 // δ·K_lo·K_hi.
-func (o *S2Objective) Delta() float64 {
+func (o *S2Objective) Delta(_ *graph.CSR, m Move) float64 {
 	var sum float64
-	for k, d := range o.pend.Wedges {
+	for k, d := range o.swaps.delta(m).Wedges {
 		sum += float64(d) * float64(k.KLo) * float64(k.KHi)
 	}
 	return sum
 }
 
-// Commit is a no-op: S2 is fully determined by the graph.
-func (o *S2Objective) Commit() {}
-
-// Rollback is a no-op.
-func (o *S2Objective) Rollback() {}
+// Commit syncs the tracker with the applied move.
+func (o *S2Objective) Commit(m Move) { o.swaps.commit(m) }
 
 // ClusteringObjective scores moves by the mean clustering C̄ (average of
 // c(v) = tri(v)/C(d_v,2) over nodes with degree ≥ 2). It maintains exact
@@ -399,39 +380,36 @@ func (o *ClusteringObjective) Init(g *graph.CSR) error {
 	return nil
 }
 
-// Begin resets the candidate accumulator.
-func (o *ClusteringObjective) Begin() { clear(o.pending) }
-
-func (o *ClusteringObjective) edgeChange(g *graph.CSR, u, v int, sign int64) {
-	small, large := u, v
-	if g.Degree(small) > g.Degree(large) {
-		small, large = large, small
+// edgeChange accumulates the per-node triangle change of toggling edge
+// (a,b) in a virtual state of g: the common neighbors of a and b other
+// than ex1 and ex2, which the swap has already cut off from a or b.
+func (o *ClusteringObjective) edgeChange(g *graph.CSR, a, b, ex1, ex2 int, sign int64) {
+	if g.Degree(a) > g.Degree(b) {
+		a, b = b, a
 	}
-	g.VisitNeighbors(small, func(w int) bool {
-		if w != large && g.HasEdge(w, large) {
-			o.pending[u] += sign
-			o.pending[v] += sign
+	for _, w32 := range g.Neighbors(a) {
+		w := int(w32)
+		if w != b && w != ex1 && w != ex2 && g.HasEdge(w, b) {
+			o.pending[a] += sign
+			o.pending[b] += sign
 			o.pending[w] += sign
 		}
-		return true
-	})
+	}
 }
 
-// WillRemove accumulates triangle losses through common neighbors.
-func (o *ClusteringObjective) WillRemove(g *graph.CSR, u, v int) {
-	o.edgeChange(g, u, v, -1)
-}
-
-// WillAdd accumulates triangle gains through common neighbors.
-func (o *ClusteringObjective) WillAdd(g *graph.CSR, u, v int) {
-	o.edgeChange(g, u, v, +1)
-}
-
-// Delta returns the candidate's C̄ change. The pending contributions are
-// summed in sorted node order: float addition is not associative, and
-// map-order summation would make otherwise identical runs diverge at
-// near-zero deltas, breaking seed determinism.
-func (o *ClusteringObjective) Delta() float64 {
+// Delta returns the swap's C̄ change. Its four edge toggles are
+// virtualized with the exclusion rule of subgraphs.Tracker.SwapDelta:
+// (U,Y) is added with V already cut off from U and X from Y, and (X,V)
+// with Y cut off from X and U from V. The pending contributions are summed in
+// sorted node order: float addition is not associative, and map-order
+// summation would make otherwise identical runs diverge at near-zero
+// deltas, breaking seed determinism.
+func (o *ClusteringObjective) Delta(g *graph.CSR, m Move) float64 {
+	clear(o.pending)
+	o.edgeChange(g, m.U, m.V, -1, -1, -1)
+	o.edgeChange(g, m.X, m.Y, -1, -1, -1)
+	o.edgeChange(g, m.U, m.Y, m.V, m.X, +1)
+	o.edgeChange(g, m.X, m.V, m.Y, m.U, +1)
 	keys := make([]int, 0, len(o.pending))
 	for v := range o.pending {
 		keys = append(keys, v)
@@ -445,14 +423,11 @@ func (o *ClusteringObjective) Delta() float64 {
 }
 
 // Commit folds the pending per-node triangle changes in.
-func (o *ClusteringObjective) Commit() {
+func (o *ClusteringObjective) Commit(Move) {
 	for v, d := range o.pending {
 		o.tri[v] += d
 	}
 }
-
-// Rollback discards pending changes.
-func (o *ClusteringObjective) Rollback() {}
 
 // Current returns the tracked C̄ value (test hook).
 func (o *ClusteringObjective) Current() float64 {

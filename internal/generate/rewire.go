@@ -87,19 +87,19 @@ type RewireStats struct {
 	Rejected RejectionBreakdown
 }
 
-// DefaultBatchSize is the number of depth-3 candidate proposals drawn and
-// evaluated per parallel batch (see Rewirer.BatchSize). Sized so one
-// batch amortizes the pool dispatch: most candidates die in the cheap
-// structural checks, and only the survivors pay for a census delta.
-const DefaultBatchSize = 256
+// batchSize is the number of depth-3 candidate proposals drawn and
+// evaluated per parallel batch. Sized so one batch amortizes the pool
+// dispatch: most candidates die in the cheap structural checks, and only
+// the survivors pay for a census delta. Part of the RNG-stream contract:
+// changing it changes which moves are accepted.
+const batchSize = 256
 
 // splitMix is the candidate-draw generator of the batched proposer: a
 // SplitMix64 stream, ~free to seed — candidates are drawn by the
 // thousand per accepted move, and seeding a rand.Rand (607-word state)
 // per candidate would cost more than the checks it feeds. Modulo
 // reduction gives Intn a bias of n/2⁶⁴, irrelevant here: the contract
-// is determinism of the (seed, BatchSize) → stream function, not
-// perfect uniformity.
+// is determinism of the seed → stream function, not perfect uniformity.
 type splitMix struct{ s uint64 }
 
 func (r *splitMix) Intn(n int) int {
@@ -132,12 +132,6 @@ type Rewirer struct {
 	// (checked by BFS after each accepted move — expensive; the paper
 	// itself does not check and extracts GCCs afterwards).
 	PreserveConnectivity bool
-	// BatchSize is the number of depth-3 candidates drawn and evaluated
-	// per parallel batch (default DefaultBatchSize; 1 degenerates to a
-	// serial loop with the same accepted-move stream). The stream is a
-	// pure function of (seed, BatchSize) — it never depends on the
-	// worker count.
-	BatchSize int
 	// RecordMoves appends every accepted move to the log returned by
 	// AcceptedMoves — the differential test harness replays it.
 	RecordMoves bool
@@ -281,39 +275,22 @@ func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
 }
 
-// apply performs the move's edge operations, routing each through the
-// objective.
+// apply performs the move's edge operations.
 func (r *Rewirer) apply(m Move) {
 	g := r.G
-	if r.Obj != nil {
-		r.Obj.Begin()
-	}
-	remove := func(a, b int) {
-		if r.Obj != nil {
-			r.Obj.WillRemove(g, a, b)
-		}
-		g.RemoveEdge(a, b)
-	}
-	add := func(a, b int) {
-		if r.Obj != nil {
-			r.Obj.WillAdd(g, a, b)
-		}
-		mustAdd(g, a, b)
-	}
 	if m.Depth == 0 {
-		remove(m.U, m.V)
-		add(m.X, m.Y)
+		g.RemoveEdge(m.U, m.V)
+		mustAdd(g, m.X, m.Y)
 		return
 	}
-	remove(m.U, m.V)
-	remove(m.X, m.Y)
-	add(m.U, m.Y)
-	add(m.X, m.V)
+	g.RemoveEdge(m.U, m.V)
+	g.RemoveEdge(m.X, m.Y)
+	mustAdd(g, m.U, m.Y)
+	mustAdd(g, m.X, m.V)
 }
 
 // revert undoes a move applied by apply (inverse operations in reverse
-// order), bypassing objective callbacks; callers pair it with
-// Obj.Rollback.
+// order).
 func (r *Rewirer) revert(m Move) {
 	g := r.G
 	if m.Depth == 0 {
@@ -341,7 +318,6 @@ func (r *Rewirer) Step() (bool, error) {
 		r.Stats.Rejected.count(rej)
 		return false, nil
 	}
-	r.apply(m)
 	return r.finish(m)
 }
 
@@ -366,7 +342,6 @@ func (r *Rewirer) stepBatched() (bool, error) {
 			r.Stats.Rejected.count(c.reject)
 			return false, nil
 		}
-		r.apply(c.m)
 		accepted, err := r.finish(c.m)
 		if accepted {
 			for _, node := range [4]int{c.m.U, c.m.V, c.m.X, c.m.Y} {
@@ -380,19 +355,24 @@ func (r *Rewirer) stepBatched() (bool, error) {
 	}
 }
 
-// finish runs the post-apply acceptance pipeline — objective policy,
-// connectivity veto, commit — on an already-applied move.
+// finish runs the acceptance pipeline on a structurally valid move:
+// objective delta, apply, objective policy, connectivity veto, commit.
+// An objective-rejected move is applied and reverted rather than
+// rejected up front: the revert permutes the swap-remove edge list, and
+// the uniform edge draws of every later proposal read that order.
 func (r *Rewirer) finish(m Move) (bool, error) {
 	var delta float64
 	if r.Obj != nil {
-		delta = r.Obj.Delta()
+		delta = r.Obj.Delta(r.G, m)
+	}
+	r.apply(m)
+	if r.Obj != nil {
 		accept := r.Accept
 		if accept == nil {
 			accept = PolicyAlways
 		}
 		if !accept(r.Rng, delta) {
 			r.revert(m)
-			r.Obj.Rollback()
 			r.Stats.Rejected.Objective++
 			r.Stats.Reverted++
 			return false, nil
@@ -400,15 +380,12 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 	}
 	if r.PreserveConnectivity && !graph.IsConnected(r.G) {
 		r.revert(m)
-		if r.Obj != nil {
-			r.Obj.Rollback()
-		}
 		r.Stats.Rejected.Disconnected++
 		r.Stats.Reverted++
 		return false, nil
 	}
 	if r.Obj != nil {
-		r.Obj.Commit()
+		r.Obj.Commit(m)
 		r.objSum += delta
 	}
 	if r.tracker != nil {
@@ -428,7 +405,7 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 	return true, nil
 }
 
-// fillBatch speculatively draws BatchSize depth-3 candidates and runs
+// fillBatch speculatively draws batchSize depth-3 candidates and runs
 // their structural and census checks in parallel, read-only against the
 // current graph. Determinism: one batch seed is drawn from r.Rng, each
 // candidate i derives its own SplitMix64 stream via
@@ -440,10 +417,7 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 // degrades to one inline worker pays for one scratch, not Workers() of
 // them.
 func (r *Rewirer) fillBatch() {
-	k := r.BatchSize
-	if k <= 0 {
-		k = DefaultBatchSize
-	}
+	const k = batchSize
 	batchSeed := r.Rng.Int63()
 	if cap(r.queue) < k {
 		r.queue = make([]candidate, k)
@@ -473,15 +447,11 @@ func (r *Rewirer) fillBatch() {
 				td = r.tracker.NewDelta()
 				r.scratch[worker] = td
 			}
-			// propose already enforced the depth-2 JDD condition, so one of
-			// the two 2K-preserving orientations applies; SwapDeltaJDD walks
-			// only the symmetric difference of the equal-degree endpoints'
-			// neighborhoods instead of all four ops' full merges.
-			if r.deg[m.V] == r.deg[m.Y] {
-				r.tracker.SwapDeltaJDD(td, m.U, m.V, m.X, m.Y)
-			} else {
-				r.tracker.SwapDeltaJDD(td, m.V, m.U, m.Y, m.X)
-			}
+			// propose already enforced the depth-2 JDD condition, so
+			// SwapDeltaJDD walks only the symmetric difference of the
+			// equal-degree endpoints' neighborhoods instead of all four
+			// ops' full merges.
+			r.tracker.SwapDeltaJDD(td, m.U, m.V, m.X, m.Y)
 			if !td.IsZero() {
 				rej = rejectCensusChanged
 			}
@@ -592,19 +562,6 @@ type RandomizeOptions struct {
 	// swaps (default 10, following the paper's 10× convention and the
 	// O(m) mixing result it cites).
 	SwapFactor int
-	// AttemptFactor scales the proposal budget: AttemptFactor·M proposals
-	// (default 40·SwapFactor for depth 3 — whose acceptance rate is tiny
-	// by design — and 10·SwapFactor otherwise).
-	AttemptFactor int
-	// PatienceFactor stops the run after PatienceFactor·M consecutive
-	// rejected proposals (default 10; negative disables). Depth-3 runs on
-	// heavily constrained graphs converge by exhausting their tiny set of
-	// census-preserving swaps, which this bounds cleanly.
-	PatienceFactor int
-	// BatchSize overrides the depth-3 candidate batch size (default
-	// DefaultBatchSize). Part of the RNG-stream contract: changing it
-	// changes which moves are accepted, worker count never does.
-	BatchSize int
 	// PreserveConnectivity rejects disconnecting moves (expensive).
 	PreserveConnectivity bool
 	// OnProgress and ProgressEvery mirror the Rewirer fields: periodic
@@ -625,31 +582,22 @@ func Randomize(g *graph.CSR, depth int, opt RandomizeOptions) (*graph.CSR, Rewir
 		return nil, RewireStats{}, err
 	}
 	r.PreserveConnectivity = opt.PreserveConnectivity
-	r.BatchSize = opt.BatchSize
 	r.OnProgress = opt.OnProgress
 	r.ProgressEvery = opt.ProgressEvery
 	swapFactor := opt.SwapFactor
 	if swapFactor <= 0 {
 		swapFactor = 10
 	}
-	attemptFactor := opt.AttemptFactor
-	if attemptFactor <= 0 {
-		attemptFactor = 10 * swapFactor
-		if depth == 3 {
-			attemptFactor = 40 * swapFactor
-		}
+	// The proposal budget is 10·SwapFactor·M proposals, 40·SwapFactor·M
+	// at depth 3, whose acceptance rate is tiny by design. The run also
+	// stops after 10·M consecutive rejections: depth-3 runs on heavily
+	// constrained graphs converge by exhausting their tiny set of
+	// census-preserving swaps, which this bounds cleanly.
+	attemptFactor := 10 * swapFactor
+	if depth == 3 {
+		attemptFactor = 40 * swapFactor
 	}
-	patienceFactor := opt.PatienceFactor
-	if patienceFactor == 0 {
-		patienceFactor = 10
-	}
-	patience := 0
-	if patienceFactor > 0 {
-		patience = patienceFactor * g.M()
-	}
-	want := swapFactor * g.M()
-	budget := attemptFactor * g.M()
-	st, err := r.Run(want, budget, patience)
+	st, err := r.Run(swapFactor*g.M(), attemptFactor*g.M(), 10*g.M())
 	if err != nil {
 		return nil, st, err
 	}

@@ -46,9 +46,9 @@ var diffFamilies = []struct {
 // TestRewireDifferentialCensus is the pinning harness of the dense
 // census-delta machinery: it runs the Rewirer with move recording, then
 // replays the accepted-move log on a pristine clone maintaining the
-// census two independent ways — the dense Tracker (SwapDelta + Drain)
-// and the map-keyed Delta — and recounts from scratch with
-// subgraphs.Count every few moves, asserting exact equality throughout.
+// census incrementally with the Tracker (SwapDelta + Drain) and
+// recounting it from scratch with subgraphs.Count after every move,
+// asserting exact equality throughout.
 // Depth 3 additionally asserts the census never changes at all, and the
 // replayed graph must equal the Rewirer's final graph edge for edge.
 func TestRewireDifferentialCensus(t *testing.T) {
@@ -56,7 +56,6 @@ func TestRewireDifferentialCensus(t *testing.T) {
 	const (
 		wantMoves   = 200
 		maxAttempts = 60000
-		recountEach = 20
 	)
 	acceptedByDepth := map[int]int{}
 	for _, fam := range diffFamilies {
@@ -81,45 +80,29 @@ func TestRewireDifferentialCensus(t *testing.T) {
 					}
 					acceptedByDepth[depth] += r.Stats.Accepted
 
-					// Replay on a pristine clone with both census engines.
+					// Replay on a pristine clone: read-only tracker delta, then
+					// the mutation and the tracker commit.
 					replay := orig.Clone()
-					deg := replay.DegreeSequence()
-					tracker := subgraphs.NewTracker(replay, deg)
+					tracker := subgraphs.NewTracker(replay, replay.DegreeSequence())
 					td := tracker.NewDelta()
 					trackerCensus := subgraphs.Count(replay)
-					mapCensus := trackerCensus.Clone()
 					baseline := trackerCensus.Clone()
-					mapDelta := subgraphs.NewDelta()
 					for i, m := range r.AcceptedMoves() {
-						// Dense path: read-only delta, then commit.
 						tracker.SwapDelta(td, m.U, m.V, m.X, m.Y)
 						td.Drain(trackerCensus)
-						tracker.ApplySwap(m.U, m.V, m.X, m.Y)
-						// Map path interleaves deltas with the mutations.
-						mapDelta.Reset()
-						mapDelta.RemoveEdge(replay, deg, m.U, m.V)
 						replay.RemoveEdge(m.U, m.V)
-						mapDelta.RemoveEdge(replay, deg, m.X, m.Y)
 						replay.RemoveEdge(m.X, m.Y)
-						mapDelta.AddEdge(replay, deg, m.U, m.Y)
 						mustAdd(replay, m.U, m.Y)
-						mapDelta.AddEdge(replay, deg, m.X, m.V)
 						mustAdd(replay, m.X, m.V)
-						mapDelta.ApplyTo(mapCensus)
+						tracker.ApplySwap(m.U, m.V, m.X, m.Y)
 
-						if !trackerCensus.Equal(mapCensus) {
-							t.Fatalf("%s/d%d seed=%d w=%d: tracker census != map census after move %d",
+						if fresh := subgraphs.Count(replay); !trackerCensus.Equal(fresh) {
+							t.Fatalf("%s/d%d seed=%d w=%d: incremental census != recount after move %d",
 								fam.name, depth, seed, workers, i)
 						}
 						if depth == 3 && !trackerCensus.Equal(baseline) {
 							t.Fatalf("%s/d%d seed=%d w=%d: depth-3 move %d changed the census",
 								fam.name, depth, seed, workers, i)
-						}
-						if (i+1)%recountEach == 0 || i == r.Stats.Accepted-1 {
-							if fresh := subgraphs.Count(replay); !trackerCensus.Equal(fresh) {
-								t.Fatalf("%s/d%d seed=%d w=%d: incremental census != recount after move %d",
-									fam.name, depth, seed, workers, i)
-							}
 						}
 					}
 					if !replay.Equal(work) {

@@ -202,22 +202,9 @@ func Explore(g *graph.CSR, metric ExploreMetric, opt ExploreOptions) (*ExploreRe
 	if patience == 0 {
 		patience = 20 * g.M()
 	}
-	res := &ExploreResult{FinalGraph: out}
-	sinceAccept := 0
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		ok, err := r.Step()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			sinceAccept = 0
-		} else {
-			sinceAccept++
-			if sinceAccept >= patience {
-				break
-			}
-		}
+	st, err := r.Run(0, maxAttempts, patience)
+	if err != nil {
+		return nil, err
 	}
-	res.Stats = r.Stats
-	return res, nil
+	return &ExploreResult{Stats: st, FinalGraph: out}, nil
 }

@@ -1,8 +1,8 @@
 // Package subgraphs implements exact censuses of small connected subgraphs
 // keyed by the degrees of their nodes — the raw material of the paper's
-// 3K-distribution — together with incremental census deltas for
-// single-edge changes, which make 3K-preserving and 3K-targeting rewiring
-// tractable (a full recount per rewiring step would be hopeless).
+// 3K-distribution — together with the Tracker's incremental census deltas
+// for double-edge swaps, which make 3K-preserving and 3K-targeting
+// rewiring tractable (a full recount per rewiring step would be hopeless).
 //
 // Wedges are counted as induced open two-paths: a path a–c–b where a and b
 // are not adjacent. Triangles are 3-cliques. With this convention the
@@ -134,47 +134,10 @@ func equalCounts[K comparable](a, b map[K]int64) bool {
 // hub-heavy power-law graphs fall off a cliff at d=3 extraction.
 func Count(s *graph.CSR) *Census {
 	n := s.N()
-	deg := make([]int, n)
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		deg[u] = s.Degree(u)
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	// Degree class table, ascending in degree so class order is degree
-	// order (the wedge-end canonicalization relies on it).
-	classOf := make([]int32, maxDeg+1)
-	for i := range classOf {
-		classOf[i] = -1
-	}
-	for _, d := range deg {
-		classOf[d] = 0
-	}
-	classDeg := make([]int, 0, 16)
-	for d, seen := range classOf {
-		if seen == 0 {
-			classOf[d] = int32(len(classDeg))
-			classDeg = append(classDeg, d)
-		}
-	}
+	deg := s.DegreeSequence()
+	cls, classDeg := degreeClasses(deg)
 	nc := len(classDeg)
-	cls := make([]int32, n)
-	for u := 0; u < n; u++ {
-		cls[u] = classOf[deg[u]]
-	}
-	// Bitsets for hub membership probes, as in the Tracker mirror.
-	words := (n + 63) / 64
-	bits := make([][]uint64, n)
-	for u := 0; u < n; u++ {
-		if deg[u] >= DefaultBitsetThreshold {
-			bs := make([]uint64, words)
-			for _, v := range s.Neighbors(u) {
-				bs[uint(v)>>6] |= 1 << (uint(v) & 63)
-			}
-			bits[u] = bs
-		}
-	}
+	bits := hubBitsets(s, deg, DefaultBitsetThreshold)
 
 	// Dense accumulators carry touched-index lists so the final emission
 	// costs O(touched), not an O(nc³) scan over multi-megabyte arrays. An
@@ -204,7 +167,7 @@ func Count(s *graph.CSR) *Census {
 			}
 			wArr[idx] += v
 		} else {
-			mW[uint64(lo)<<42|uint64(cc)<<21|uint64(hi)] += v
+			mW[packKey(lo, cc, hi)] += v
 		}
 	}
 	addT := func(a, b, c int32, v int64) {
@@ -224,7 +187,7 @@ func Count(s *graph.CSR) *Census {
 			}
 			tArr[idx] += v
 		} else {
-			mT[uint64(a)<<42|uint64(b)<<21|uint64(c)] += v
+			mT[packKey(a, b, c)] += v
 		}
 	}
 
@@ -350,15 +313,63 @@ func Count(s *graph.CSR) *Census {
 	}
 	for key, v := range mW {
 		if v != 0 {
-			c.Wedges[WedgeKey{classDeg[key>>42], classDeg[key>>21&packMask], classDeg[key&packMask]}] = v
+			lo, cc, hi := unpackKey(classDeg, key)
+			c.Wedges[WedgeKey{lo, cc, hi}] = v
 		}
 	}
 	for key, v := range mT {
 		if v != 0 {
-			c.Triangles[TriangleKey{classDeg[key>>42], classDeg[key>>21&packMask], classDeg[key&packMask]}] = v
+			a, b, cc := unpackKey(classDeg, key)
+			c.Triangles[TriangleKey{a, b, cc}] = v
 		}
 	}
 	return c
+}
+
+// degreeClasses interns the distinct values of deg into a class table
+// ascending in degree, so class order is degree order (the wedge-end
+// canonicalization relies on it), and returns each node's class.
+func degreeClasses(deg []int) (cls []int32, classDeg []int) {
+	maxDeg := 0
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	classOf := make([]int32, maxDeg+1)
+	for i := range classOf {
+		classOf[i] = -1
+	}
+	for _, d := range deg {
+		classOf[d] = 0
+	}
+	classDeg = make([]int, 0, 16)
+	for d, seen := range classOf {
+		if seen == 0 {
+			classOf[d] = int32(len(classDeg))
+			classDeg = append(classDeg, d)
+		}
+	}
+	cls = make([]int32, len(deg))
+	for u, d := range deg {
+		cls[u] = classOf[d]
+	}
+	return cls, classDeg
+}
+
+// hubBitsets returns an adjacency bitset for every node of g whose degree
+// is at least threshold, and nil for the others.
+func hubBitsets(g *graph.CSR, deg []int, threshold int) [][]uint64 {
+	words := (g.N() + 63) / 64
+	bits := make([][]uint64, g.N())
+	for u, d := range deg {
+		if d >= threshold {
+			bs := make([]uint64, words)
+			for _, v := range g.Neighbors(u) {
+				bs[uint(v)>>6] |= 1 << (uint(v) & 63)
+			}
+			bits[u] = bs
+		}
+	}
+	return bits
 }
 
 // bsHas probes membership of w in a node bitset.
@@ -379,140 +390,4 @@ func searchPast(a []int32, v int32) int {
 		}
 	}
 	return lo
-}
-
-// Delta accumulates signed census changes from a sequence of edge
-// insertions and removals performed at fixed node degrees. It is the
-// workhorse of 3K-preserving and 3K-targeting rewiring: a degree-preserving
-// double-edge swap applies four single-edge changes whose deltas telescope
-// to exactly (census after − census before).
-//
-// The degree slice passed to the mutation methods must be the (constant)
-// degree sequence of the graph before and after the whole swap; the
-// intermediate graph states have different instantaneous degrees, but the
-// census keys of the initial and final graphs both use deg, so the
-// telescoped sum is exact.
-type Delta struct {
-	Wedges    map[WedgeKey]int64
-	Triangles map[TriangleKey]int64
-}
-
-// NewDelta returns an empty delta.
-func NewDelta() *Delta {
-	return &Delta{
-		Wedges:    make(map[WedgeKey]int64),
-		Triangles: make(map[TriangleKey]int64),
-	}
-}
-
-// Reset clears the delta for reuse.
-func (d *Delta) Reset() {
-	clear(d.Wedges)
-	clear(d.Triangles)
-}
-
-// IsZero reports whether every accumulated count change is zero — i.e.
-// whether the edge changes recorded so far preserve the 3K-distribution.
-func (d *Delta) IsZero() bool {
-	for _, v := range d.Wedges {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, v := range d.Triangles {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (d *Delta) addWedge(kEnd1, kCenter, kEnd2 int, sign int64) {
-	k := NewWedgeKey(kEnd1, kCenter, kEnd2)
-	if v := d.Wedges[k] + sign; v == 0 {
-		delete(d.Wedges, k)
-	} else {
-		d.Wedges[k] = v
-	}
-}
-
-func (d *Delta) addTriangle(a, b, c int, sign int64) {
-	k := NewTriangleKey(a, b, c)
-	if v := d.Triangles[k] + sign; v == 0 {
-		delete(d.Triangles, k)
-	} else {
-		d.Triangles[k] = v
-	}
-}
-
-// AdjGraph is the read surface Delta needs from a mutable graph:
-// neighbor iteration and membership probes. Both the map-adjacency
-// graph.Graph (the retained differential-test reference) and the CSR
-// working representation satisfy it.
-type AdjGraph interface {
-	VisitNeighbors(u int, f func(v int) bool)
-	HasEdge(u, v int) bool
-}
-
-// RemoveEdge records the census change caused by deleting edge (u,v) from
-// g. It must be called while the edge is still present; the caller then
-// performs g.RemoveEdge(u, v).
-func (d *Delta) RemoveEdge(g AdjGraph, deg []int, u, v int) {
-	d.edgeChange(g, deg, u, v, -1)
-}
-
-// AddEdge records the census change caused by inserting edge (u,v) into g.
-// It must be called while the edge is still absent; the caller then
-// performs g.AddEdge(u, v).
-func (d *Delta) AddEdge(g AdjGraph, deg []int, u, v int) {
-	d.edgeChange(g, deg, u, v, +1)
-}
-
-// edgeChange enumerates the wedges and triangles whose existence toggles
-// with edge (u,v): triangles through each common neighbor w (which trade
-// places with the u–w–v wedge centered at w), wedges centered at u ending
-// at v, and wedges centered at v ending at u.
-func (d *Delta) edgeChange(g AdjGraph, deg []int, u, v int, sign int64) {
-	du, dv := deg[u], deg[v]
-	g.VisitNeighbors(u, func(w int) bool {
-		if w == v {
-			return true
-		}
-		if g.HasEdge(w, v) {
-			// Common neighbor: triangle {u,v,w} toggles on, wedge u–w–v
-			// (centered at w) toggles off, or vice versa.
-			d.addTriangle(du, dv, deg[w], sign)
-			d.addWedge(du, deg[w], dv, -sign)
-		} else {
-			// Wedge v–u–w centered at u.
-			d.addWedge(dv, du, deg[w], sign)
-		}
-		return true
-	})
-	g.VisitNeighbors(v, func(w int) bool {
-		if w == u || g.HasEdge(w, u) {
-			return true // common neighbors already handled from u's side
-		}
-		// Wedge u–v–w centered at v.
-		d.addWedge(du, dv, deg[w], sign)
-		return true
-	})
-}
-
-// ApplyTo folds the delta into census c in place.
-func (d *Delta) ApplyTo(c *Census) {
-	for k, v := range d.Wedges {
-		if nv := c.Wedges[k] + v; nv == 0 {
-			delete(c.Wedges, k)
-		} else {
-			c.Wedges[k] = nv
-		}
-	}
-	for k, v := range d.Triangles {
-		if nv := c.Triangles[k] + v; nv == 0 {
-			delete(c.Triangles, k)
-		} else {
-			c.Triangles[k] = nv
-		}
-	}
 }

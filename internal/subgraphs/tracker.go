@@ -1,21 +1,20 @@
-// Census tracking for the depth-3 rewiring hot path.
+// Census tracking for rewiring: the one census-delta engine.
 //
-// The map-keyed Delta in census.go is exact but pays a map-hash on every
-// wedge/triangle class it touches and a HasEdge map probe per neighbor —
-// per-proposal costs that dominate 3K-preserving rewiring, where almost
-// every proposal is evaluated and rejected. Tracker is the dense
-// replacement: degrees are interned into a compact class table once, count
-// changes accumulate in degree-class-indexed arrays (maps appear only at
-// the Census boundary, in Drain), and common-neighbor classification runs
-// directly on the CSR's sorted neighbor windows — a linear merge for
-// ordinary nodes, O(1) bitset probes for nodes above a degree threshold.
-// The CSR working representation IS the tracker's sorted adjacency; no
-// second mirror copy is maintained.
+// Tracker scores double-edge swaps by their exact wedge/triangle census
+// change. Degrees are interned into a compact class table once, count
+// changes accumulate in degree-class-indexed arrays sized by the
+// observed adjacent class pairs (maps appear only at the Census
+// boundary, in Drain), and common-neighbor classification runs directly
+// on the CSR's sorted neighbor windows — a linear merge for ordinary
+// nodes, O(1) bitset probes for nodes above a degree threshold. The CSR
+// working representation IS the tracker's sorted adjacency; no second
+// mirror copy is maintained.
 //
 // Because SwapDelta is read-only (edge toggles are virtualized instead of
 // applied), many candidate swaps can be evaluated concurrently against one
 // Tracker, each into its own TrackerDelta — the foundation of the batched
-// parallel proposal loop in internal/generate.
+// parallel proposal loop in internal/generate, whose depth-3 census check
+// and census-scored rewiring objectives both run on it.
 package subgraphs
 
 import (
@@ -40,27 +39,24 @@ var denseLimit = 1 << 20
 // census deltas over a graph with a fixed degree sequence: the degree
 // class table, the observed class-pair index, and per-hub bitsets. The
 // degree sequence must be constant across all tracked mutations (true
-// for double-edge swaps, the only moves evaluated at depth 3), because
-// census keys of intermediate states use the fixed degrees — the same
-// convention as Delta.
+// for double-edge swaps, the only moves a tracker evaluates), because
+// census keys of intermediate states use the fixed degrees.
 //
 // Adjacency reads go straight to the CSR's sorted windows, so the graph
 // itself is the mirror. The bitsets are the only derived adjacency
 // state: every mutation of the underlying CSR must be paired with the
 // matching Add/Remove/ApplySwap call to keep them coherent.
 type Tracker struct {
-	g         *graph.CSR
-	nc        int        // degree class count
-	dense     bool       // pair-sized arrays fit denseLimit, else map fallback
-	cls       []int32    // node -> degree class (ascending in degree)
-	classDeg  []int      // degree class -> degree
-	pid       []int32    // ordered class pair (a*nc+b) -> dense pair id, -1 unobserved
-	pairA     []int32    // pair id -> first class of the ordered pair
-	pairB     []int32    // pair id -> second class of the ordered pair
-	npairs    int        // ordered observed pair count
-	bits      [][]uint64 // per-node bitset for threshold-degree nodes, else nil
-	words     int        // bitset length in uint64 words
-	threshold int
+	g        *graph.CSR
+	nc       int        // degree class count
+	dense    bool       // pair-sized arrays fit denseLimit, else map fallback
+	cls      []int32    // node -> degree class (ascending in degree)
+	classDeg []int      // degree class -> degree
+	pid      []int32    // ordered class pair (a*nc+b) -> dense pair id, -1 unobserved
+	pairA    []int32    // pair id -> first class of the ordered pair
+	pairB    []int32    // pair id -> second class of the ordered pair
+	npairs   int        // ordered observed pair count
+	bits     [][]uint64 // per-node bitset for threshold-degree nodes, else nil
 }
 
 // NewTracker builds a Tracker over g with the fixed degree sequence deg
@@ -72,46 +68,14 @@ func NewTracker(g *graph.CSR, deg []int) *Tracker {
 // NewTrackerThreshold is NewTracker with an explicit bitset degree
 // threshold (0 or negative gives every non-isolated node a bitset).
 func NewTrackerThreshold(g *graph.CSR, deg []int, threshold int) *Tracker {
-	n := g.N()
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	classOf := make([]int32, maxDeg+1)
-	for i := range classOf {
-		classOf[i] = -1
-	}
-	for _, d := range deg {
-		classOf[d] = 0
-	}
-	classDeg := make([]int, 0, 16)
-	for d, seen := range classOf {
-		if seen == 0 {
-			classOf[d] = int32(len(classDeg))
-			classDeg = append(classDeg, d)
-		}
-	}
+	cls, classDeg := degreeClasses(deg)
 	nc := len(classDeg)
 	t := &Tracker{
-		g:         g,
-		nc:        nc,
-		cls:       make([]int32, n),
-		classDeg:  classDeg,
-		bits:      make([][]uint64, n),
-		words:     (n + 63) / 64,
-		threshold: threshold,
-	}
-	for u := 0; u < n; u++ {
-		t.cls[u] = classOf[deg[u]]
-		if deg[u] >= threshold {
-			bs := make([]uint64, t.words)
-			for _, v := range g.Neighbors(u) {
-				bs[uint(v)>>6] |= 1 << (uint(v) & 63)
-			}
-			t.bits[u] = bs
-		}
+		g:        g,
+		nc:       nc,
+		cls:      cls,
+		classDeg: classDeg,
+		bits:     hubBitsets(g, deg, threshold),
 	}
 	// Index the observed adjacent class pairs, both orders. JDD-preserving
 	// swaps can only ever create edges whose class pair is already
@@ -123,7 +87,7 @@ func NewTrackerThreshold(g *graph.CSR, deg []int, threshold int) *Tracker {
 		for i := range t.pid {
 			t.pid[i] = -1
 		}
-		for u := 0; u < n; u++ {
+		for u := 0; u < g.N(); u++ {
 			cu := t.cls[u]
 			for _, v := range g.Neighbors(u) {
 				if int(v) < u {
@@ -300,12 +264,7 @@ func (d *TrackerDelta) Drain(c *Census) {
 			hi := int(i) % nc
 			p := int(i) / nc
 			cc, lo := t.pairA[p], t.pairB[p]
-			k := WedgeKey{t.classDeg[lo], t.classDeg[cc], t.classDeg[hi]}
-			if nv := c.Wedges[k] + v; nv == 0 {
-				delete(c.Wedges, k)
-			} else {
-				c.Wedges[k] = nv
-			}
+			addCount(c.Wedges, WedgeKey{t.classDeg[lo], t.classDeg[cc], t.classDeg[hi]}, v)
 		}
 		for _, i := range d.tTouch {
 			v := d.tris[i]
@@ -316,31 +275,18 @@ func (d *TrackerDelta) Drain(c *Census) {
 			c3 := int(i) % nc
 			p := int(i) / nc
 			c1, c2 := t.pairA[p], t.pairB[p]
-			k := TriangleKey{t.classDeg[c1], t.classDeg[c2], t.classDeg[c3]}
-			if nv := c.Triangles[k] + v; nv == 0 {
-				delete(c.Triangles, k)
-			} else {
-				c.Triangles[k] = nv
-			}
+			addCount(c.Triangles, TriangleKey{t.classDeg[c1], t.classDeg[c2], t.classDeg[c3]}, v)
 		}
 		d.wTouch = d.wTouch[:0]
 		d.tTouch = d.tTouch[:0]
 	}
 	for key, v := range d.mWedges {
-		k := WedgeKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
-		if nv := c.Wedges[k] + v; nv == 0 {
-			delete(c.Wedges, k)
-		} else {
-			c.Wedges[k] = nv
-		}
+		lo, cc, hi := unpackKey(t.classDeg, key)
+		addCount(c.Wedges, WedgeKey{lo, cc, hi}, v)
 	}
 	for key, v := range d.mTris {
-		k := TriangleKey{t.classDeg[key>>42], t.classDeg[key>>21&packMask], t.classDeg[key&packMask]}
-		if nv := c.Triangles[k] + v; nv == 0 {
-			delete(c.Triangles, k)
-		} else {
-			c.Triangles[k] = nv
-		}
+		a, b, cc := unpackKey(t.classDeg, key)
+		addCount(c.Triangles, TriangleKey{a, b, cc}, v)
 	}
 	if d.mWedges != nil {
 		clear(d.mWedges)
@@ -350,7 +296,26 @@ func (d *TrackerDelta) Drain(c *Census) {
 	}
 }
 
+// addCount adds v to m[k], deleting the entry when it reaches zero.
+func addCount[K comparable](m map[K]int64, k K, v int64) {
+	if nv := m[k] + v; nv == 0 {
+		delete(m, k)
+	} else {
+		m[k] = nv
+	}
+}
+
 const packMask = 1<<21 - 1
+
+// packKey packs a class triple into the map-fallback key a<<42|b<<21|c.
+func packKey(a, b, c int32) uint64 {
+	return uint64(a)<<42 | uint64(b)<<21 | uint64(c)
+}
+
+// unpackKey decodes a packKey key back into the triple's degrees.
+func unpackKey(classDeg []int, key uint64) (a, b, c int) {
+	return classDeg[key>>42], classDeg[key>>21&packMask], classDeg[key&packMask]
+}
 
 // addWedge accumulates a wedge class change: ends e1, e2 (canonicalized;
 // classDeg is ascending so class order is degree order), center cc. On
@@ -376,12 +341,7 @@ func (d *TrackerDelta) addWedge(e1, cc, e2 int32, sign int64) {
 			d.mWedges = make(map[uint64]int64)
 		}
 	}
-	key := uint64(lo)<<42 | uint64(cc)<<21 | uint64(hi)
-	if v := d.mWedges[key] + sign; v == 0 {
-		delete(d.mWedges, key)
-	} else {
-		d.mWedges[key] = v
-	}
+	addCount(d.mWedges, packKey(lo, cc, hi), sign)
 }
 
 // addTriangle accumulates a triangle class change for corners a, b, c.
@@ -411,12 +371,7 @@ func (d *TrackerDelta) addTriangle(a, b, c int32, sign int64) {
 			d.mTris = make(map[uint64]int64)
 		}
 	}
-	key := uint64(a)<<42 | uint64(b)<<21 | uint64(c)
-	if v := d.mTris[key] + sign; v == 0 {
-		delete(d.mTris, key)
-	} else {
-		d.mTris[key] = v
-	}
+	addCount(d.mTris, packKey(a, b, c), sign)
 }
 
 // AddEdgeDelta accumulates the census change of inserting edge (u,v)
@@ -455,11 +410,11 @@ func (t *Tracker) SwapDelta(d *TrackerDelta, u, v, x, y int) {
 	t.edgeChange(d, x, v, +1, y, u)
 }
 
-// SwapDeltaJDD is SwapDelta specialized to the orientation in which the
-// swap trivially preserves the joint degree distribution because
-// cls[v] == cls[y] (for the other 2K-preserving orientation,
-// cls[u] == cls[x], call it with the flipped arguments (v,u,y,x) — the
-// same swap by symmetry). With the degrees of the replaced endpoints
+// SwapDeltaJDD is SwapDelta specialized to 2K-preserving swaps: those
+// with deg v = deg y or deg u = deg x, which the depth-2 proposal filter
+// guarantees. It picks the orientation itself: when deg v ≠ deg y it
+// reads the swap from the other ends, (v,u),(y,x) → (v,x),(y,u), the
+// same swap by symmetry. With the degrees of the replaced endpoints
 // equal, the four telescoped edge ops of SwapDelta cancel class-wise
 // everywhere except on the symmetric difference of N(v) and N(y): a
 // common neighbor w sees edge w–v's and w–y's contexts trade places at
@@ -468,6 +423,9 @@ func (t *Tracker) SwapDelta(d *TrackerDelta, u, v, x, y int) {
 // walk over adj(v) and adj(y) with membership probes only on the
 // symmetric difference. Same preconditions as SwapDelta.
 func (t *Tracker) SwapDeltaJDD(d *TrackerDelta, u, v, x, y int) {
+	if t.cls[v] != t.cls[y] {
+		u, v, x, y = v, u, y, x
+	}
 	d.Reset()
 	a, b, c := t.cls[u], t.cls[v], t.cls[x]
 	V, Y := t.adj(v), t.adj(y)
@@ -527,8 +485,7 @@ func (t *Tracker) Has(a, b int) bool {
 }
 
 // edgeChange enumerates the wedges and triangles whose existence toggles
-// with edge (a,b) — the same classification as Delta.edgeChange, in
-// class space: triangles through common neighbors (trading places with
+// with edge (a,b), in class space: triangles through common neighbors (trading places with
 // the wedge centered at the common neighbor), and wedges centered at a
 // and at b through exclusive neighbors. exA/exB (-1 = none) name one
 // node virtually not adjacent to a (resp. b), which is how SwapDelta

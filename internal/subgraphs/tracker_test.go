@@ -119,8 +119,8 @@ func TestTrackerSwapDeltaMatchesDelta(t *testing.T) {
 // TestTrackerSwapDeltaJDDMatchesSwapDelta pins the specialized
 // symmetric-difference walk against the generic four-op SwapDelta on
 // random JDD-matched swaps, in both 2K-preserving orientations
-// (deg v == deg y directly; deg u == deg x via the flipped call), and
-// across the merge, all-bitset, and packed-map fallback paths.
+// (deg v == deg y, and deg u == deg x, which SwapDeltaJDD flips itself),
+// and across the merge, all-bitset, and packed-map fallback paths.
 func TestTrackerSwapDeltaJDDMatchesSwapDelta(t *testing.T) {
 	oldLimit := denseLimit
 	defer func() { denseLimit = oldLimit }()
@@ -156,11 +156,7 @@ func TestTrackerSwapDeltaJDDMatchesSwapDelta(t *testing.T) {
 			want := drain(trMerge, generic)
 			for pi, tr := range trackers {
 				td := tr.NewDelta()
-				if deg[v] == deg[y] {
-					tr.SwapDeltaJDD(td, u, v, x, y)
-				} else {
-					tr.SwapDeltaJDD(td, v, u, y, x)
-				}
+				tr.SwapDeltaJDD(td, u, v, x, y) // picks the orientation itself
 				if !drain(tr, td).Equal(want) {
 					t.Fatalf("path=%d round=%d: SwapDeltaJDD != SwapDelta for swap (%d,%d)(%d,%d) deg=[%d %d %d %d]",
 						pi, round, u, v, x, y, deg[u], deg[v], deg[x], deg[y])
