@@ -329,7 +329,7 @@ func ReadProfileBinary(r io.Reader) (*Profile, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Census = subgraphs.NewCensus()
+		p.Census = &subgraphs.Census{}
 		if err := p.Census.UnmarshalBinary(sec); err != nil {
 			return nil, fmt.Errorf("dk: %w: census: %v", ErrCorrupt, err)
 		}

@@ -47,26 +47,44 @@ func D2(a, b *JDD) float64 {
 }
 
 // D3 is the paper's 3K distance: the sum of squared differences between
-// current and target wedge counts plus the same for triangle counts.
+// current and target wedge counts plus the same for triangle counts — a
+// linear merge of the two sorted censuses.
 func D3(a, b *subgraphs.Census) float64 {
+	wedge := func(w subgraphs.WedgeCount) (subgraphs.WedgeKey, int64) { return w.WedgeKey, w.Count }
+	tri := func(t subgraphs.TriangleCount) (subgraphs.TriangleKey, int64) { return t.TriangleKey, t.Count }
+	return sqDiff(a.Wedges, b.Wedges, wedge, subgraphs.WedgeKey.Compare) +
+		sqDiff(a.Triangles, b.Triangles, tri, subgraphs.TriangleKey.Compare)
+}
+
+// sqDiff merges two key-sorted count lists and sums the squared count
+// differences, treating a class missing from one side as count 0.
+func sqDiff[T, K any](a, b []T, rec func(T) (K, int64), compare func(K, K) int) float64 {
 	var sum float64
-	for k, wa := range a.Wedges {
-		d := float64(wa - b.Wedges[k])
-		sum += d * d
-	}
-	for k, wb := range b.Wedges {
-		if _, seen := a.Wedges[k]; !seen {
-			sum += float64(wb) * float64(wb)
+	for len(a) > 0 || len(b) > 0 {
+		var d int64
+		switch {
+		case len(b) == 0:
+			_, d = rec(a[0])
+			a = a[1:]
+		case len(a) == 0:
+			_, d = rec(b[0])
+			b = b[1:]
+		default:
+			ka, na := rec(a[0])
+			kb, nb := rec(b[0])
+			switch c := compare(ka, kb); {
+			case c < 0:
+				d = na
+				a = a[1:]
+			case c > 0:
+				d = nb
+				b = b[1:]
+			default:
+				d = na - nb
+				a, b = a[1:], b[1:]
+			}
 		}
-	}
-	for k, ta := range a.Triangles {
-		d := float64(ta - b.Triangles[k])
-		sum += d * d
-	}
-	for k, tb := range b.Triangles {
-		if _, seen := a.Triangles[k]; !seen {
-			sum += float64(tb) * float64(tb)
-		}
+		sum += float64(d) * float64(d)
 	}
 	return sum
 }

@@ -39,17 +39,23 @@ func (dd *DegreeDist) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the encoding produced by MarshalJSON and rejects
-// duplicate degree classes.
+// duplicate degree classes and negative counts.
 func (dd *DegreeDist) UnmarshalJSON(b []byte) error {
 	var in degreeDistJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
+	}
+	if in.N < 0 {
+		return fmt.Errorf("dk: degree distribution n = %d in JSON", in.N)
 	}
 	dd.N = in.N
 	dd.Count = make(map[int]int, len(in.Classes))
 	for _, c := range in.Classes {
 		if _, dup := dd.Count[c.K]; dup {
 			return fmt.Errorf("dk: duplicate degree class k=%d in JSON", c.K)
+		}
+		if c.N < 0 {
+			return fmt.Errorf("dk: degree class k=%d count %d in JSON", c.K, c.N)
 		}
 		if c.N != 0 {
 			dd.Count[c.K] = c.N
@@ -84,13 +90,17 @@ func (j *JDD) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the encoding produced by MarshalJSON. Pairs are
-// re-canonicalized (k1 <= k2) on the way in; duplicates are rejected. The
-// edge total M is recomputed from the classes, so inconsistent totals in
-// hand-written JSON cannot enter the data model.
+// re-canonicalized (k1 <= k2) on the way in; duplicates and negative
+// counts are rejected. The edge total M is recomputed from the classes,
+// so inconsistent totals in hand-written JSON cannot enter the data
+// model.
 func (j *JDD) UnmarshalJSON(b []byte) error {
 	var in jddJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
+	}
+	if in.M < 0 {
+		return fmt.Errorf("dk: JDD m = %d in JSON", in.M)
 	}
 	j.M = 0
 	j.Count = make(map[DegPair]int, len(in.Classes))
@@ -98,6 +108,9 @@ func (j *JDD) UnmarshalJSON(b []byte) error {
 		p := NewDegPair(c.K1, c.K2)
 		if _, dup := j.Count[p]; dup {
 			return fmt.Errorf("dk: duplicate JDD class (%d,%d) in JSON", p.K1, p.K2)
+		}
+		if c.M < 0 {
+			return fmt.Errorf("dk: JDD class (%d,%d) count %d in JSON", p.K1, p.K2, c.M)
 		}
 		if c.M != 0 {
 			j.Count[p] = c.M

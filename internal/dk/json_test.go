@@ -3,6 +3,7 @@ package dk
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -156,5 +157,47 @@ func TestProfileJSONFromRandomGraphs(t *testing.T) {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+	}
+}
+
+// TestJSONRejectsNegativeCounts: the JSON decoders refuse negative counts
+// the way the DKPB decoders refuse non-positive ones. The census case is
+// a paw profile whose totals still satisfy Validate — a compensating
+// −1 wedge class used to slip through.
+func TestJSONRejectsNegativeCounts(t *testing.T) {
+	var dd DegreeDist
+	for _, in := range []string{
+		`{"n":-1,"classes":[]}`,
+		`{"n":1,"classes":[{"k":1,"n":-1}]}`,
+	} {
+		if err := json.Unmarshal([]byte(in), &dd); err == nil {
+			t.Errorf("degree distribution %s decoded without error", in)
+		}
+	}
+	var j JDD
+	for _, in := range []string{
+		`{"m":-1,"classes":[]}`,
+		`{"m":1,"classes":[{"k1":1,"k2":2,"m":2},{"k1":2,"k2":2,"m":-1}]}`,
+	} {
+		if err := json.Unmarshal([]byte(in), &j); err == nil {
+			t.Errorf("JDD %s decoded without error", in)
+		}
+	}
+
+	const paw = `{"d":3,"n":4,"m":4,"avg_degree":2,` +
+		`"degrees":{"n":4,"classes":[{"k":1,"n":1},{"k":2,"n":2},{"k":3,"n":1}]},` +
+		`"joint":{"m":4,"classes":[{"k1":1,"k2":3,"m":1},{"k1":2,"k2":2,"m":1},{"k1":2,"k2":3,"m":2}]},` +
+		`"census":{"wedges":[%s],"triangles":[{"k1":2,"k2":2,"k3":3,"count":1}]}}`
+	var p Profile
+	valid := fmt.Sprintf(paw, `{"k_lo":1,"k_center":3,"k_hi":2,"count":2}`)
+	if err := json.Unmarshal([]byte(valid), &p); err != nil {
+		t.Fatalf("paw profile: %v", err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("paw profile: %v", err)
+	}
+	negative := fmt.Sprintf(paw, `{"k_lo":1,"k_center":2,"k_hi":1,"count":-1},{"k_lo":1,"k_center":3,"k_hi":2,"count":3}`)
+	if err := json.Unmarshal([]byte(negative), &p); err == nil {
+		t.Fatal("profile with a negative wedge count decoded without error")
 	}
 }

@@ -24,12 +24,33 @@ type Objective interface {
 // classes that return to zero.
 func addCounts[K comparable, V int | int64](counts, pending map[K]V) {
 	for k, v := range pending {
-		if nv := counts[k] + v; nv == 0 {
-			delete(counts, k)
-		} else {
-			counts[k] = nv
+		addCount(counts, k, v)
+	}
+}
+
+// addCount adds v to counts[k], dropping the class if it returns to zero.
+func addCount[K comparable, V int | int64](counts map[K]V, k K, v V) {
+	if nv := counts[k] + v; nv == 0 {
+		delete(counts, k)
+	} else {
+		counts[k] = nv
+	}
+}
+
+// sqDist is Σ_k (current(k) − target(k))² over the union of both
+// class sets.
+func sqDist[K comparable, V int | int64](current, target map[K]V) float64 {
+	var sum float64
+	for k, c := range current {
+		d := float64(c - target[k])
+		sum += d * d
+	}
+	for k, t := range target {
+		if _, seen := current[k]; !seen {
+			sum += float64(t) * float64(t)
 		}
 	}
+	return sum
 }
 
 // --- D1: degree-distribution distance (1K-targeting, 0K-preserving) ---
@@ -101,21 +122,7 @@ func (o *DegreeDistObjective) Delta(g *graph.CSR, m Move) float64 {
 func (o *DegreeDistObjective) Commit(Move) { addCounts(o.current, o.pending) }
 
 // Current returns the tracked D1 value recomputed from state (test hook).
-func (o *DegreeDistObjective) Current() float64 {
-	var sum float64
-	seen := make(map[int]bool)
-	for k, c := range o.current {
-		d := float64(c - o.target[k])
-		sum += d * d
-		seen[k] = true
-	}
-	for k, t := range o.target {
-		if !seen[k] {
-			sum += float64(t) * float64(t)
-		}
-	}
-	return sum
-}
+func (o *DegreeDistObjective) Current() float64 { return sqDist(o.current, o.target) }
 
 // --- D2: JDD distance (2K-targeting, 1K-preserving) ---
 
@@ -171,48 +178,32 @@ func (o *JDDObjective) Delta(_ *graph.CSR, m Move) float64 {
 func (o *JDDObjective) Commit(Move) { addCounts(o.current, o.pending) }
 
 // Current recomputes D2 from tracked state (test hook).
-func (o *JDDObjective) Current() float64 {
-	var sum float64
-	seen := make(map[dk.DegPair]bool)
-	for p, c := range o.current {
-		d := float64(c - o.target[p])
-		sum += d * d
-		seen[p] = true
-	}
-	for p, t := range o.target {
-		if !seen[p] {
-			sum += float64(t) * float64(t)
-		}
-	}
-	return sum
-}
+func (o *JDDObjective) Current() float64 { return sqDist(o.current, o.target) }
 
 // --- D3: wedge/triangle census distance (3K-targeting, 2K-preserving) ---
 
 // swapCensus scores double-edge swaps by their exact census change
 // through a subgraphs.Tracker: the read-only swap delta is drained into
-// a small pending census, and kept moves update the tracker's bitsets.
+// reusable record slices, and kept moves update the tracker's bitsets.
 // Its moves must be 2K-preserving (depth-2 rewiring), the precondition of
 // Tracker.SwapDeltaJDD.
 type swapCensus struct {
 	tracker *subgraphs.Tracker
 	td      *subgraphs.TrackerDelta
-	pend    *subgraphs.Census
+	wedges  []subgraphs.WedgeCount    // pending wedge class changes
+	tris    []subgraphs.TriangleCount // pending triangle class changes
 }
 
 func (c *swapCensus) init(g *graph.CSR) {
 	c.tracker = subgraphs.NewTracker(g, g.DegreeSequence())
 	c.td = c.tracker.NewDelta()
-	c.pend = subgraphs.NewCensus()
 }
 
-// delta returns the census change of m, valid until the next call.
-func (c *swapCensus) delta(m Move) *subgraphs.Census {
-	clear(c.pend.Wedges)
-	clear(c.pend.Triangles)
+// delta records the census change of m in c.wedges and c.tris, valid
+// until the next call.
+func (c *swapCensus) delta(m Move) {
 	c.tracker.SwapDeltaJDD(c.td, m.U, m.V, m.X, m.Y)
-	c.td.Drain(c.pend)
-	return c.pend
+	c.wedges, c.tris = c.td.Drain(c.wedges[:0], c.tris[:0])
 }
 
 // commit syncs the tracker with the applied move.
@@ -220,11 +211,14 @@ func (c *swapCensus) commit(m Move) { c.tracker.ApplySwap(m.U, m.V, m.X, m.Y) }
 
 // CensusObjective tracks the paper's D3 — squared count differences over
 // wedge and triangle classes — under 2K-preserving moves, using the
-// incremental census deltas of a subgraphs.Tracker.
+// incremental census deltas of a subgraphs.Tracker. The current and
+// target counts live in class-keyed maps built once in Init, because
+// every move updates the current census in place.
 type CensusObjective struct {
-	target  *subgraphs.Census
-	current *subgraphs.Census
-	swaps   swapCensus
+	target     *subgraphs.Census
+	curW, tgtW map[subgraphs.WedgeKey]int64
+	curT, tgtT map[subgraphs.TriangleKey]int64
+	swaps      swapCensus
 }
 
 // NewCensusObjective targets the given wedge/triangle census.
@@ -234,40 +228,58 @@ func NewCensusObjective(target *subgraphs.Census) *CensusObjective {
 
 // Init counts g's census and builds the tracker over g.
 func (o *CensusObjective) Init(g *graph.CSR) error {
-	o.current = subgraphs.Count(g)
+	o.curW, o.curT = censusMaps(subgraphs.Count(g))
+	o.tgtW, o.tgtT = censusMaps(o.target)
 	o.swaps.init(g)
 	return nil
+}
+
+// censusMaps copies a census into class-keyed count maps.
+func censusMaps(c *subgraphs.Census) (map[subgraphs.WedgeKey]int64, map[subgraphs.TriangleKey]int64) {
+	w := make(map[subgraphs.WedgeKey]int64, len(c.Wedges))
+	for _, r := range c.Wedges {
+		w[r.WedgeKey] = r.Count
+	}
+	t := make(map[subgraphs.TriangleKey]int64, len(c.Triangles))
+	for _, r := range c.Triangles {
+		t[r.TriangleKey] = r.Count
+	}
+	return w, t
 }
 
 // Delta returns the move's D3 change: for each class with pending
 // change δ against current count c and target t, the squared-error change
 // is δ·(2(c−t)+δ).
 func (o *CensusObjective) Delta(_ *graph.CSR, m Move) float64 {
-	pend := o.swaps.delta(m)
+	o.swaps.delta(m)
 	var sum float64
-	for k, d := range pend.Wedges {
-		c := float64(o.current.Wedges[k])
-		t := float64(o.target.Wedges[k])
-		sum += float64(d) * (2*(c-t) + float64(d))
+	for _, r := range o.swaps.wedges {
+		c := float64(o.curW[r.WedgeKey])
+		t := float64(o.tgtW[r.WedgeKey])
+		sum += float64(r.Count) * (2*(c-t) + float64(r.Count))
 	}
-	for k, d := range pend.Triangles {
-		c := float64(o.current.Triangles[k])
-		t := float64(o.target.Triangles[k])
-		sum += float64(d) * (2*(c-t) + float64(d))
+	for _, r := range o.swaps.tris {
+		c := float64(o.curT[r.TriangleKey])
+		t := float64(o.tgtT[r.TriangleKey])
+		sum += float64(r.Count) * (2*(c-t) + float64(r.Count))
 	}
 	return sum
 }
 
 // Commit folds the pending census change into the tracked census.
 func (o *CensusObjective) Commit(m Move) {
-	addCounts(o.current.Wedges, o.swaps.pend.Wedges)
-	addCounts(o.current.Triangles, o.swaps.pend.Triangles)
+	for _, r := range o.swaps.wedges {
+		addCount(o.curW, r.WedgeKey, r.Count)
+	}
+	for _, r := range o.swaps.tris {
+		addCount(o.curT, r.TriangleKey, r.Count)
+	}
 	o.swaps.commit(m)
 }
 
 // Current recomputes D3 from tracked state (test hook).
 func (o *CensusObjective) Current() float64 {
-	return dk.D3(o.current, o.target)
+	return sqDist(o.curW, o.tgtW) + sqDist(o.curT, o.tgtT)
 }
 
 // --- Scalar exploration objectives ---
@@ -315,9 +327,10 @@ func (o *S2Objective) Init(g *graph.CSR) error {
 // Delta returns the move's S2 change: Σ over wedge classes of
 // δ·K_lo·K_hi.
 func (o *S2Objective) Delta(_ *graph.CSR, m Move) float64 {
+	o.swaps.delta(m)
 	var sum float64
-	for k, d := range o.swaps.delta(m).Wedges {
-		sum += float64(d) * float64(k.KLo) * float64(k.KHi)
+	for _, r := range o.swaps.wedges {
+		sum += float64(r.Count) * float64(r.KLo) * float64(r.KHi)
 	}
 	return sum
 }

@@ -1,6 +1,7 @@
 package generate
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -85,22 +86,30 @@ func TestRewireDifferentialCensus(t *testing.T) {
 					replay := orig.Clone()
 					tracker := subgraphs.NewTracker(replay, replay.DegreeSequence())
 					td := tracker.NewDelta()
-					trackerCensus := subgraphs.Count(replay)
-					baseline := trackerCensus.Clone()
+					curW, curT := censusMaps(subgraphs.Count(replay))
+					baseW, baseT := maps.Clone(curW), maps.Clone(curT)
+					var recW []subgraphs.WedgeCount
+					var recT []subgraphs.TriangleCount
 					for i, m := range r.AcceptedMoves() {
 						tracker.SwapDelta(td, m.U, m.V, m.X, m.Y)
-						td.Drain(trackerCensus)
+						recW, recT = td.Drain(recW[:0], recT[:0])
+						for _, rec := range recW {
+							addCount(curW, rec.WedgeKey, rec.Count)
+						}
+						for _, rec := range recT {
+							addCount(curT, rec.TriangleKey, rec.Count)
+						}
 						replay.RemoveEdge(m.U, m.V)
 						replay.RemoveEdge(m.X, m.Y)
 						mustAdd(replay, m.U, m.Y)
 						mustAdd(replay, m.X, m.V)
 						tracker.ApplySwap(m.U, m.V, m.X, m.Y)
 
-						if fresh := subgraphs.Count(replay); !trackerCensus.Equal(fresh) {
+						if freshW, freshT := censusMaps(subgraphs.Count(replay)); !maps.Equal(curW, freshW) || !maps.Equal(curT, freshT) {
 							t.Fatalf("%s/d%d seed=%d w=%d: incremental census != recount after move %d",
 								fam.name, depth, seed, workers, i)
 						}
-						if depth == 3 && !trackerCensus.Equal(baseline) {
+						if depth == 3 && (!maps.Equal(curW, baseW) || !maps.Equal(curT, baseT)) {
 							t.Fatalf("%s/d%d seed=%d w=%d: depth-3 move %d changed the census",
 								fam.name, depth, seed, workers, i)
 						}

@@ -181,6 +181,7 @@ type executor struct {
 	step    *trace.Span // span of the step currently executing
 	cur     *trace.Span // span of the phase currently executing
 	sink    SpanSetter  // backend span publication (nil when untraced)
+	classes int         // census classes computed in the current phase
 }
 
 // setSink publishes sp as the backend's current parent span.
@@ -209,7 +210,7 @@ func (ex *executor) phase(op, phase string) func() {
 	}
 	sp := step.Child(phase)
 	if sp != nil {
-		ex.cur = sp
+		ex.cur, ex.classes = sp, 0
 		ex.setSink(sp)
 	}
 	var start time.Time
@@ -226,6 +227,19 @@ func (ex *executor) phase(op, phase string) func() {
 			ex.setSink(ex.step)
 		}
 	}
+}
+
+// profile is h.Profile(d) inside an open "extract" phase. Under a trace,
+// an extraction that ran a 3K census adds its wedge + triangle class
+// count to the phase span's census_classes attribute, so a slow depth-3
+// extract explains itself from its own trace; cache hits add nothing.
+func (ex *executor) profile(h Handle, d int) (*dk.Profile, bool, error) {
+	p, hit, err := h.Profile(d)
+	if ex.cur != nil && err == nil && !hit && p.Census != nil {
+		ex.classes += len(p.Census.Wedges) + len(p.Census.Triangles)
+		ex.cur.SetAttr("census_classes", strconv.Itoa(ex.classes))
+	}
+	return p, hit, err
 }
 
 // timedResolve wraps resolve in the "resolve" phase.
@@ -332,7 +346,7 @@ func (ex *executor) runExtract(st dkapi.PipelineStep) (*dkapi.StepResult, error)
 	}
 	d := depth(st)
 	done := ex.phase(st.Op, "extract")
-	p, hit, err := h.Profile(d)
+	p, hit, err := ex.profile(h, d)
 	done()
 	if err != nil {
 		return nil, fmt.Errorf("extract: %w", err)
@@ -399,7 +413,7 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 	var profile *dk.Profile
 	if !randomize || st.Compare {
 		done := ex.phase(st.Op, "extract")
-		p, _, err := h.Profile(d)
+		p, _, err := ex.profile(h, d)
 		done()
 		if err != nil {
 			return nil, fmt.Errorf("extract: %w", err)
@@ -453,7 +467,7 @@ func (ex *executor) runGenerate(st dkapi.PipelineStep, out *Outcome) (*dkapi.Ste
 			// the cheap distance arithmetic, and folding it into
 			// compare would misattribute the hot spot in /v1/stats.
 			ext := ex.phase(st.Op, "extract")
-			got, _, err := rh.Profile(d)
+			got, _, err := ex.profile(rh, d)
 			ext()
 			if err != nil {
 				return nil, err
@@ -519,7 +533,7 @@ func (ex *executor) runCompare(st dkapi.PipelineStep) (*dkapi.StepResult, error)
 	profiles := make([]*dk.Profile, 2)
 	extract := ex.phase(st.Op, "extract")
 	for i, h := range []Handle{ha, hb} {
-		p, _, err := h.Profile(d)
+		p, _, err := ex.profile(h, d)
 		if err != nil {
 			extract()
 			return nil, fmt.Errorf("extract: %w", err)
@@ -557,7 +571,7 @@ func (ex *executor) runCensus(st dkapi.PipelineStep) (*dkapi.StepResult, error) 
 		return nil, err
 	}
 	done := ex.phase(st.Op, "extract")
-	p, _, err := h.Profile(3)
+	p, _, err := ex.profile(h, 3)
 	done()
 	if err != nil {
 		return nil, fmt.Errorf("census: %w", err)

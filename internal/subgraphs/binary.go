@@ -3,7 +3,6 @@ package subgraphs
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // The binary form of a census is the 3K section of a stored dK-profile
@@ -19,70 +18,39 @@ import (
 //	  k1 k2 k3 count          (4 uvarints, count >= 1)
 
 // MarshalBinary encodes the census in its canonical binary form.
-// Zero-count classes are omitted.
 func (c *Census) MarshalBinary() ([]byte, error) {
 	return c.AppendBinary(nil), nil
 }
 
 // AppendBinary appends the canonical binary encoding of c to dst and
-// returns the extended slice.
+// returns the extended slice. The census slices are already in wire
+// order.
 func (c *Census) AppendBinary(dst []byte) []byte {
-	wedges := make([]WedgeKey, 0, len(c.Wedges))
-	for k, v := range c.Wedges {
-		if v != 0 {
-			wedges = append(wedges, k)
-		}
+	dst = binary.AppendUvarint(dst, uint64(len(c.Wedges)))
+	for _, w := range c.Wedges {
+		dst = binary.AppendUvarint(dst, uint64(w.KCenter))
+		dst = binary.AppendUvarint(dst, uint64(w.KLo))
+		dst = binary.AppendUvarint(dst, uint64(w.KHi))
+		dst = binary.AppendUvarint(dst, uint64(w.Count))
 	}
-	sort.Slice(wedges, func(i, j int) bool {
-		a, b := wedges[i], wedges[j]
-		if a.KCenter != b.KCenter {
-			return a.KCenter < b.KCenter
-		}
-		if a.KLo != b.KLo {
-			return a.KLo < b.KLo
-		}
-		return a.KHi < b.KHi
-	})
-	dst = binary.AppendUvarint(dst, uint64(len(wedges)))
-	for _, k := range wedges {
-		dst = binary.AppendUvarint(dst, uint64(k.KCenter))
-		dst = binary.AppendUvarint(dst, uint64(k.KLo))
-		dst = binary.AppendUvarint(dst, uint64(k.KHi))
-		dst = binary.AppendUvarint(dst, uint64(c.Wedges[k]))
-	}
-	tris := make([]TriangleKey, 0, len(c.Triangles))
-	for k, v := range c.Triangles {
-		if v != 0 {
-			tris = append(tris, k)
-		}
-	}
-	sort.Slice(tris, func(i, j int) bool {
-		a, b := tris[i], tris[j]
-		if a.K1 != b.K1 {
-			return a.K1 < b.K1
-		}
-		if a.K2 != b.K2 {
-			return a.K2 < b.K2
-		}
-		return a.K3 < b.K3
-	})
-	dst = binary.AppendUvarint(dst, uint64(len(tris)))
-	for _, k := range tris {
-		dst = binary.AppendUvarint(dst, uint64(k.K1))
-		dst = binary.AppendUvarint(dst, uint64(k.K2))
-		dst = binary.AppendUvarint(dst, uint64(k.K3))
-		dst = binary.AppendUvarint(dst, uint64(c.Triangles[k]))
+	dst = binary.AppendUvarint(dst, uint64(len(c.Triangles)))
+	for _, t := range c.Triangles {
+		dst = binary.AppendUvarint(dst, uint64(t.K1))
+		dst = binary.AppendUvarint(dst, uint64(t.K2))
+		dst = binary.AppendUvarint(dst, uint64(t.K3))
+		dst = binary.AppendUvarint(dst, uint64(t.Count))
 	}
 	return dst
 }
 
 // UnmarshalBinary decodes the encoding produced by MarshalBinary. Keys are
-// re-canonicalized on the way in; duplicate classes and zero counts are
-// rejected so every valid encoding has exactly one decoded form.
+// re-canonicalized and records sorted on the way in; duplicate classes
+// and zero counts are rejected so every valid encoding has exactly one
+// decoded form.
 func (c *Census) UnmarshalBinary(data []byte) error {
 	d := binDecoder{buf: data}
 	nw := d.count("wedge classes")
-	c.Wedges = make(map[WedgeKey]int64, min(nw, 1<<16))
+	c.Wedges = make([]WedgeCount, 0, min(nw, 1<<16))
 	for i := 0; i < nw && d.err == nil; i++ {
 		kc := d.count("wedge center degree")
 		lo := d.count("wedge end degree")
@@ -92,16 +60,13 @@ func (c *Census) UnmarshalBinary(data []byte) error {
 			break
 		}
 		key := NewWedgeKey(lo, kc, hi)
-		if _, dup := c.Wedges[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate wedge class %+v", key)
-		}
 		if n <= 0 {
 			return fmt.Errorf("subgraphs: wedge class %+v count %d", key, n)
 		}
-		c.Wedges[key] = n
+		c.Wedges = append(c.Wedges, WedgeCount{key, n})
 	}
 	nt := d.count("triangle classes")
-	c.Triangles = make(map[TriangleKey]int64, min(nt, 1<<16))
+	c.Triangles = make([]TriangleCount, 0, min(nt, 1<<16))
 	for i := 0; i < nt && d.err == nil; i++ {
 		k1 := d.count("triangle degree")
 		k2 := d.count("triangle degree")
@@ -111,13 +76,10 @@ func (c *Census) UnmarshalBinary(data []byte) error {
 			break
 		}
 		key := NewTriangleKey(k1, k2, k3)
-		if _, dup := c.Triangles[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate triangle class %+v", key)
-		}
 		if n <= 0 {
 			return fmt.Errorf("subgraphs: triangle class %+v count %d", key, n)
 		}
-		c.Triangles[key] = n
+		c.Triangles = append(c.Triangles, TriangleCount{key, n})
 	}
 	if d.err != nil {
 		return d.err
@@ -125,7 +87,7 @@ func (c *Census) UnmarshalBinary(data []byte) error {
 	if len(d.buf) != 0 {
 		return fmt.Errorf("subgraphs: %d trailing bytes after census", len(d.buf))
 	}
-	return nil
+	return c.sortClasses()
 }
 
 // binDecoder reads uvarints from a byte slice with sticky error handling.

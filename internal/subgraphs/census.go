@@ -12,6 +12,10 @@
 package subgraphs
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -19,7 +23,9 @@ import (
 // with end degrees KLo <= KHi (swapping the two ends is an isomorphism, so
 // the key is canonical).
 type WedgeKey struct {
-	KLo, KCenter, KHi int
+	KLo     int `json:"k_lo"`
+	KCenter int `json:"k_center"`
+	KHi     int `json:"k_hi"`
 }
 
 // NewWedgeKey canonicalizes (end1, center, end2) degree arguments.
@@ -30,10 +36,17 @@ func NewWedgeKey(kEnd1, kCenter, kEnd2 int) WedgeKey {
 	return WedgeKey{kEnd1, kCenter, kEnd2}
 }
 
+// Compare orders wedge keys by (KCenter, KLo, KHi), the census order.
+func (k WedgeKey) Compare(o WedgeKey) int {
+	return cmp.Or(cmp.Compare(k.KCenter, o.KCenter), cmp.Compare(k.KLo, o.KLo), cmp.Compare(k.KHi, o.KHi))
+}
+
 // TriangleKey identifies a triangle class by sorted node degrees
 // K1 <= K2 <= K3.
 type TriangleKey struct {
-	K1, K2, K3 int
+	K1 int `json:"k1"`
+	K2 int `json:"k2"`
+	K3 int `json:"k3"`
 }
 
 // NewTriangleKey canonicalizes three degree arguments.
@@ -50,26 +63,39 @@ func NewTriangleKey(a, b, c int) TriangleKey {
 	return TriangleKey{a, b, c}
 }
 
-// Census holds degree-keyed counts of wedges and triangles — the paper's
-// 3K-distribution in count form.
-type Census struct {
-	Wedges    map[WedgeKey]int64
-	Triangles map[TriangleKey]int64
+// Compare orders triangle keys by (K1, K2, K3), the census order.
+func (k TriangleKey) Compare(o TriangleKey) int {
+	return cmp.Or(cmp.Compare(k.K1, o.K1), cmp.Compare(k.K2, o.K2), cmp.Compare(k.K3, o.K3))
 }
 
-// NewCensus returns an empty census.
-func NewCensus() *Census {
-	return &Census{
-		Wedges:    make(map[WedgeKey]int64),
-		Triangles: make(map[TriangleKey]int64),
-	}
+// WedgeCount is one wedge class of a census with its count.
+type WedgeCount struct {
+	WedgeKey
+	Count int64 `json:"count"`
+}
+
+// TriangleCount is one triangle class of a census with its count.
+type TriangleCount struct {
+	TriangleKey
+	Count int64 `json:"count"`
+}
+
+// Census holds degree-keyed counts of wedges and triangles — the paper's
+// 3K-distribution in count form. Both slices are sorted in key order
+// (WedgeKey.Compare, TriangleKey.Compare), hold each class at most once,
+// and store no zero counts; Count and both decoders build them that way,
+// so equality, lookup, distance and encoding are all linear scans or
+// binary searches. The zero value is the empty census.
+type Census struct {
+	Wedges    []WedgeCount
+	Triangles []TriangleCount
 }
 
 // TotalWedges returns the total number of wedges across all classes.
 func (c *Census) TotalWedges() int64 {
 	var t int64
-	for _, v := range c.Wedges {
-		t += v
+	for _, w := range c.Wedges {
+		t += w.Count
 	}
 	return t
 }
@@ -77,100 +103,71 @@ func (c *Census) TotalWedges() int64 {
 // TotalTriangles returns the total number of triangles across all classes.
 func (c *Census) TotalTriangles() int64 {
 	var t int64
-	for _, v := range c.Triangles {
-		t += v
+	for _, tr := range c.Triangles {
+		t += tr.Count
 	}
 	return t
 }
 
+// Wedge returns the count of the canonical wedge class k (0 if absent).
+func (c *Census) Wedge(k WedgeKey) int64 {
+	i, ok := slices.BinarySearchFunc(c.Wedges, k, func(w WedgeCount, k WedgeKey) int { return w.Compare(k) })
+	if !ok {
+		return 0
+	}
+	return c.Wedges[i].Count
+}
+
+// Triangle returns the count of the canonical triangle class k (0 if
+// absent).
+func (c *Census) Triangle(k TriangleKey) int64 {
+	i, ok := slices.BinarySearchFunc(c.Triangles, k, func(t TriangleCount, k TriangleKey) int { return t.Compare(k) })
+	if !ok {
+		return 0
+	}
+	return c.Triangles[i].Count
+}
+
 // Clone returns a deep copy.
 func (c *Census) Clone() *Census {
-	out := &Census{
-		Wedges:    make(map[WedgeKey]int64, len(c.Wedges)),
-		Triangles: make(map[TriangleKey]int64, len(c.Triangles)),
-	}
-	for k, v := range c.Wedges {
-		out.Wedges[k] = v
-	}
-	for k, v := range c.Triangles {
-		out.Triangles[k] = v
-	}
-	return out
+	return &Census{Wedges: slices.Clone(c.Wedges), Triangles: slices.Clone(c.Triangles)}
 }
 
-// Equal reports whether two censuses have identical nonzero counts.
+// Equal reports whether two censuses have identical counts.
 func (c *Census) Equal(o *Census) bool {
-	if !equalCounts(c.Wedges, o.Wedges) {
-		return false
-	}
-	return equalCounts(c.Triangles, o.Triangles)
-}
-
-func equalCounts[K comparable](a, b map[K]int64) bool {
-	for k, v := range a {
-		if v != 0 && b[k] != v {
-			return false
-		}
-	}
-	for k, v := range b {
-		if v != 0 && a[k] != v {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(c.Wedges, o.Wedges) && slices.Equal(c.Triangles, o.Triangles)
 }
 
 // Count computes the exact wedge/triangle census of s.
 //
-// It runs on the same machinery as the rewiring Tracker: node degrees are
-// interned into a compact class table, counts accumulate in class-indexed
-// dense arrays (packed-key maps above denseLimit), triangles come from a
-// linear merge of sorted CSR neighbor windows per canonical edge — with
-// O(1) bitset probes once an endpoint reaches DefaultBitsetThreshold —
-// and wedges from per-center neighbor-class histograms, with each
-// triangle's three adjacent end-pairs subtracted to keep the induced
-// (open two-path) convention. Compared to the per-center pair enumeration
-// it replaces, this eliminates the deg² HasEdge binary searches that made
-// hub-heavy power-law graphs fall off a cliff at d=3 extraction.
+// Node degrees are interned into a compact class table ascending in
+// degree, so class order is degree order and sorted class keys are
+// sorted census keys. Triangles come from a linear merge of sorted CSR
+// neighbor windows per canonical edge — with O(1) bitset probes once an
+// endpoint reaches DefaultBitsetThreshold — collected as packed class
+// keys, sorted and run-length encoded. Wedges are accumulated one center
+// class at a time (centers grouped by a counting sort) into a single
+// dense nc×nc row block: per center, a neighbor-class histogram turns
+// every unordered neighbor pair into a class-pair count in
+// O(deg + touched²), the class's triangle debits are subtracted to keep
+// the induced (open two-path) convention, and the touched entries are
+// emitted in sorted order. The distinct degrees of a graph with m edges
+// satisfy nc(nc−1)/2 <= 2m, so the row block is O(m) whatever the
+// degree diversity, and the census comes out already in its canonical
+// sorted layout.
 func Count(s *graph.CSR) *Census {
 	n := s.N()
 	deg := s.DegreeSequence()
 	cls, classDeg := degreeClasses(deg)
 	nc := len(classDeg)
-	bits := hubBitsets(s, deg, DefaultBitsetThreshold)
+	hub := hubBitsets(s, deg, DefaultBitsetThreshold)
 
-	// Dense accumulators carry touched-index lists so the final emission
-	// costs O(touched), not an O(nc³) scan over multi-megabyte arrays. An
-	// index may register more than once (a count cancelling to zero and
-	// coming back); emission consumes entries destructively, so duplicates
-	// cannot double-count — the TrackerDelta.Drain convention.
-	dense := nc*nc*nc <= denseLimit
-	var wArr, tArr []int64
-	var wTouch, tTouch []int32
-	var mW, mT map[uint64]int64
-	if dense {
-		wArr = make([]int64, nc*nc*nc)
-		tArr = make([]int64, nc*nc*nc)
-	} else {
-		mW = make(map[uint64]int64)
-		mT = make(map[uint64]int64)
-	}
-	addW := func(e1, cc, e2 int32, v int64) {
-		lo, hi := e1, e2
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if dense {
-			idx := (int32(nc)*cc+lo)*int32(nc) + hi
-			if wArr[idx] == 0 {
-				wTouch = append(wTouch, idx)
-			}
-			wArr[idx] += v
-		} else {
-			mW[packKey(lo, cc, hi)] += v
-		}
-	}
-	addT := func(a, b, c int32, v int64) {
+	// Triangles: every canonical edge (u,v), u < v, contributes its common
+	// neighbors w > v, so each triangle {u<v<w} is found exactly once (from
+	// the edge between its two smallest nodes).
+	var tris []uint64
+	triangle := func(u, v int, w int32) {
+		a, b, c := cls[u], cls[v], cls[w]
 		if a > b {
 			a, b = b, a
 		}
@@ -180,28 +177,7 @@ func Count(s *graph.CSR) *Census {
 		if a > b {
 			a, b = b, a
 		}
-		if dense {
-			idx := (int32(nc)*a+b)*int32(nc) + c
-			if tArr[idx] == 0 {
-				tTouch = append(tTouch, idx)
-			}
-			tArr[idx] += v
-		} else {
-			mT[packKey(a, b, c)] += v
-		}
-	}
-
-	// Triangles: every canonical edge (u,v), u < v, contributes its common
-	// neighbors w > v, so each triangle {u<v<w} is found exactly once (from
-	// the edge between its two smallest nodes). Each found triangle also
-	// debits the three wedge classes its adjacent end-pairs would otherwise
-	// inflate in the histogram pass below.
-	triangle := func(u, v int, w int32) {
-		cu, cv, cw := cls[u], cls[v], cls[w]
-		addT(cu, cv, cw, 1)
-		addW(cv, cu, cw, -1) // centered at u
-		addW(cu, cv, cw, -1) // centered at v
-		addW(cu, cw, cv, -1) // centered at w
+		tris = append(tris, packKey(a, b, c))
 	}
 	for u := 0; u < n; u++ {
 		adjU := s.Neighbors(u)
@@ -216,15 +192,15 @@ func Count(s *graph.CSR) *Census {
 			adjV := s.Neighbors(v)
 			wv := adjV[searchPast(adjV, v32):]
 			switch {
-			case bits[u] != nil && (bits[v] == nil || len(wv) <= len(wu)):
+			case hub[u] != nil && (hub[v] == nil || len(wv) <= len(wu)):
 				for _, w := range wv {
-					if bsHas(bits[u], w) {
+					if bsHas(hub[u], w) {
 						triangle(u, v, w)
 					}
 				}
-			case bits[v] != nil:
+			case hub[v] != nil:
 				for _, w := range wu {
-					if bsHas(bits[v], w) {
+					if bsHas(hub[v], w) {
 						triangle(u, v, w)
 					}
 				}
@@ -244,86 +220,153 @@ func Count(s *graph.CSR) *Census {
 		}
 	}
 
-	// Wedges: per center, a neighbor-class histogram turns every unordered
-	// neighbor pair into a class-pair count in O(deg + touched²) instead of
-	// deg² adjacency probes; the triangle pass already subtracted the
-	// adjacent pairs.
+	// Run-length encode the sorted triangle keys into the triangle census.
+	// Each triangle class (a <= b <= c) with count t debits t from the
+	// three wedge classes its adjacent end-pairs would otherwise inflate
+	// in the histogram pass: (a; b,c), (b; a,c) and (c; a,b). A counting
+	// sort files the debits by center class, so each center class finds
+	// its debits as one contiguous run.
+	slices.Sort(tris)
+	dStart := make([]int, nc+1)
+	runs := 0
+	for i, key := range tris {
+		if i == 0 || key != tris[i-1] {
+			runs++
+			dStart[key>>42+1]++
+			dStart[key>>21&packMask+1]++
+			dStart[key&packMask+1]++
+		}
+	}
+	for k := range nc {
+		dStart[k+1] += dStart[k]
+	}
+	c := &Census{Triangles: make([]TriangleCount, 0, runs)}
+	debits := make([]debit, 3*runs)
+	dNext := slices.Clone(dStart[:nc])
+	for i := 0; i < len(tris); {
+		j := i + 1
+		for j < len(tris) && tris[j] == tris[i] {
+			j++
+		}
+		key, t := tris[i], int64(j-i)
+		a, b, cc := int(key>>42), int(key>>21&packMask), int(key&packMask)
+		c.Triangles = append(c.Triangles, TriangleCount{TriangleKey{classDeg[a], classDeg[b], classDeg[cc]}, t})
+		for _, d := range [3][3]int{{a, b, cc}, {b, a, cc}, {cc, a, b}} {
+			debits[dNext[d[0]]] = debit{d[1]*nc + d[2], t}
+			dNext[d[0]]++
+		}
+		i = j
+	}
+	tris = nil // not needed by the wedge pass
+
+	// Wedges, one center class at a time, in class (= degree) order.
+	start := make([]int32, nc+1)
+	for _, k := range cls {
+		start[k+1]++
+	}
+	for k := range nc {
+		start[k+1] += start[k]
+	}
+	order := make([]int32, n)
+	next := slices.Clone(start[:nc])
+	for u, k := range cls {
+		order[next[k]] = int32(u)
+		next[k]++
+	}
+	// The row block holds the current center class's counts at index
+	// lo·nc+hi, so index order is (lo, hi) order; mark flags the entries
+	// written, and one scan of its words emits them sorted.
+	row := make([]int64, nc*nc)
+	mark := make([]uint64, (nc*nc+63)/64)
+	add := func(lo, hi int32, v int64) {
+		idx := int(lo)*nc + int(hi)
+		row[idx] += v
+		mark[idx>>6] |= 1 << (idx & 63)
+	}
+	// Wedge classes are emitted as packed (cc, lo, hi) keys into
+	// fixed-size chunks and decoded into an exactly sized output at the
+	// end: no growth copies of one huge slice, and a transient overhead
+	// of half the output instead of a second copy of it.
+	const chunkLen = 1 << 16
+	var chunks [][]classCount
 	cnt := make([]int64, nc)
 	touched := make([]int32, 0, 64)
-	for center := 0; center < n; center++ {
-		nbrs := s.Neighbors(center)
-		if len(nbrs) < 2 {
-			continue
+	for cc := range int32(nc) {
+		if classDeg[cc] < 2 {
+			continue // no wedge or debit is centered here
 		}
-		for _, v := range nbrs {
-			c := cls[v]
-			if cnt[c] == 0 {
-				touched = append(touched, c)
+		for _, center := range order[start[cc]:start[cc+1]] {
+			for _, v := range s.Neighbors(int(center)) {
+				k := cls[v]
+				if cnt[k] == 0 {
+					touched = append(touched, k)
+				}
+				cnt[k]++
 			}
-			cnt[c]++
-		}
-		cc := cls[center]
-		for i, a := range touched {
-			ha := cnt[a]
-			if ha > 1 {
-				addW(a, cc, a, ha*(ha-1)/2)
+			for i, a := range touched {
+				ha := cnt[a]
+				if ha > 1 {
+					add(a, a, ha*(ha-1)/2)
+				}
+				for _, b := range touched[i+1:] {
+					add(min(a, b), max(a, b), ha*cnt[b])
+				}
 			}
-			for _, b := range touched[i+1:] {
-				addW(a, cc, b, ha*cnt[b])
+			for _, a := range touched {
+				cnt[a] = 0
 			}
+			touched = touched[:0]
 		}
-		for _, a := range touched {
-			cnt[a] = 0
+		// Every debit names a closed neighbor pair the histogram counted.
+		for _, d := range debits[dStart[cc]:dStart[cc+1]] {
+			row[d.idx] -= d.n
 		}
-		touched = touched[:0]
-	}
-
-	// Decode class indices back to degree-keyed maps — the same boundary
-	// conversion as TrackerDelta.Drain.
-	c := &Census{
-		Wedges:    make(map[WedgeKey]int64, len(wTouch)+len(mW)),
-		Triangles: make(map[TriangleKey]int64, len(tTouch)+len(mT)),
-	}
-	if dense {
-		for _, i := range wTouch {
-			v := wArr[i]
-			if v == 0 {
+		for wi, word := range mark {
+			if word == 0 {
 				continue
 			}
-			wArr[i] = 0
-			idx := int(i)
-			hi := idx % nc
-			lo := idx / nc % nc
-			cc := idx / (nc * nc)
-			c.Wedges[WedgeKey{classDeg[lo], classDeg[cc], classDeg[hi]}] = v
-		}
-		for _, i := range tTouch {
-			v := tArr[i]
-			if v == 0 {
-				continue
+			mark[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				idx := wi<<6 | bits.TrailingZeros64(word)
+				v := row[idx]
+				if v == 0 {
+					continue
+				}
+				row[idx] = 0
+				if len(chunks) == 0 || len(chunks[len(chunks)-1]) == chunkLen {
+					chunks = append(chunks, make([]classCount, 0, chunkLen))
+				}
+				last := &chunks[len(chunks)-1]
+				*last = append(*last, classCount{packKey(cc, int32(idx/nc), int32(idx%nc)), v})
 			}
-			tArr[i] = 0
-			idx := int(i)
-			c3 := idx % nc
-			c2 := idx / nc % nc
-			c1 := idx / (nc * nc)
-			c.Triangles[TriangleKey{classDeg[c1], classDeg[c2], classDeg[c3]}] = v
-		}
-		return c
-	}
-	for key, v := range mW {
-		if v != 0 {
-			lo, cc, hi := unpackKey(classDeg, key)
-			c.Wedges[WedgeKey{lo, cc, hi}] = v
 		}
 	}
-	for key, v := range mT {
-		if v != 0 {
-			a, b, cc := unpackKey(classDeg, key)
-			c.Triangles[TriangleKey{a, b, cc}] = v
+	total := 0
+	for _, ch := range chunks {
+		total += len(ch)
+	}
+	c.Wedges = make([]WedgeCount, 0, total)
+	for i, ch := range chunks {
+		for _, r := range ch {
+			cc, lo, hi := unpackKey(classDeg, r.key)
+			c.Wedges = append(c.Wedges, WedgeCount{WedgeKey{lo, cc, hi}, r.n})
 		}
+		chunks[i] = nil // collectable once decoded
 	}
 	return c
+}
+
+// classCount is a packed class-triple key with a count.
+type classCount struct {
+	key uint64
+	n   int64
+}
+
+// debit is a triangle's subtraction from a center class's row block
+// entry idx = lo·nc+hi.
+type debit struct {
+	idx int
+	n   int64
 }
 
 // degreeClasses interns the distinct values of deg into a class table

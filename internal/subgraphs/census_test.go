@@ -1,11 +1,14 @@
 package subgraphs
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/stats"
 )
 
 func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
@@ -19,9 +22,57 @@ func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	return g
 }
 
+// censusOf builds a canonical census from class-keyed counts, dropping
+// zero classes.
+func censusOf(w map[WedgeKey]int64, t map[TriangleKey]int64) *Census {
+	c := &Census{}
+	for k, v := range w {
+		if v != 0 {
+			c.Wedges = append(c.Wedges, WedgeCount{k, v})
+		}
+	}
+	for k, v := range t {
+		if v != 0 {
+			c.Triangles = append(c.Triangles, TriangleCount{k, v})
+		}
+	}
+	slices.SortFunc(c.Wedges, func(a, b WedgeCount) int { return a.Compare(b.WedgeKey) })
+	slices.SortFunc(c.Triangles, func(a, b TriangleCount) int { return a.Compare(b.TriangleKey) })
+	return c
+}
+
+// countsOf is the inverse of censusOf.
+func countsOf(c *Census) (map[WedgeKey]int64, map[TriangleKey]int64) {
+	w := make(map[WedgeKey]int64, len(c.Wedges))
+	for _, r := range c.Wedges {
+		w[r.WedgeKey] += r.Count
+	}
+	t := make(map[TriangleKey]int64, len(c.Triangles))
+	for _, r := range c.Triangles {
+		t[r.TriangleKey] += r.Count
+	}
+	return w, t
+}
+
+// checkCanonical asserts the census layout invariant: keys strictly
+// increasing in census order, no zero counts.
+func checkCanonical(t *testing.T, c *Census) {
+	t.Helper()
+	for i, w := range c.Wedges {
+		if w.Count == 0 || (i > 0 && c.Wedges[i-1].Compare(w.WedgeKey) >= 0) {
+			t.Fatalf("wedge record %d %+v breaks the sorted nonzero layout", i, w)
+		}
+	}
+	for i, tr := range c.Triangles {
+		if tr.Count == 0 || (i > 0 && c.Triangles[i-1].Compare(tr.TriangleKey) >= 0) {
+			t.Fatalf("triangle record %d %+v breaks the sorted nonzero layout", i, tr)
+		}
+	}
+}
+
 // bruteCensus enumerates all node triples.
 func bruteCensus(g *graph.Graph) *Census {
-	c := NewCensus()
+	wedges, tris := map[WedgeKey]int64{}, map[TriangleKey]int64{}
 	n := g.N()
 	deg := g.DegreeSequence()
 	for i := 0; i < n; i++ {
@@ -32,18 +83,18 @@ func bruteCensus(g *graph.Graph) *Census {
 				jk := g.HasEdge(j, k)
 				switch {
 				case ij && ik && jk:
-					c.Triangles[NewTriangleKey(deg[i], deg[j], deg[k])]++
+					tris[NewTriangleKey(deg[i], deg[j], deg[k])]++
 				case ij && ik:
-					c.Wedges[NewWedgeKey(deg[j], deg[i], deg[k])]++
+					wedges[NewWedgeKey(deg[j], deg[i], deg[k])]++
 				case ij && jk:
-					c.Wedges[NewWedgeKey(deg[i], deg[j], deg[k])]++
+					wedges[NewWedgeKey(deg[i], deg[j], deg[k])]++
 				case ik && jk:
-					c.Wedges[NewWedgeKey(deg[i], deg[k], deg[j])]++
+					wedges[NewWedgeKey(deg[i], deg[k], deg[j])]++
 				}
 			}
 		}
 	}
-	return c
+	return censusOf(wedges, tris)
 }
 
 func TestWedgeKeyCanonical(t *testing.T) {
@@ -71,7 +122,7 @@ func TestCountTriangleGraph(t *testing.T) {
 	if c.TotalWedges() != 0 {
 		t.Errorf("K3 wedges = %d, want 0", c.TotalWedges())
 	}
-	if c.Triangles[TriangleKey{2, 2, 2}] != 1 || c.TotalTriangles() != 1 {
+	if c.Triangle(TriangleKey{2, 2, 2}) != 1 || c.TotalTriangles() != 1 {
 		t.Errorf("K3 triangles = %v", c.Triangles)
 	}
 }
@@ -79,7 +130,7 @@ func TestCountTriangleGraph(t *testing.T) {
 func TestCountPath3(t *testing.T) {
 	g := build(t, 3, [][2]int{{0, 1}, {1, 2}})
 	c := Count(g.CSR())
-	if c.Wedges[WedgeKey{1, 2, 1}] != 1 || c.TotalWedges() != 1 {
+	if c.Wedge(WedgeKey{1, 2, 1}) != 1 || c.TotalWedges() != 1 {
 		t.Errorf("P3 wedges = %v", c.Wedges)
 	}
 	if c.TotalTriangles() != 0 {
@@ -90,7 +141,7 @@ func TestCountPath3(t *testing.T) {
 func TestCountStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
 	c := Count(g.CSR())
-	if c.Wedges[WedgeKey{1, 3, 1}] != 3 || c.TotalWedges() != 3 {
+	if c.Wedge(WedgeKey{1, 3, 1}) != 3 || c.TotalWedges() != 3 {
 		t.Errorf("K1,3 wedges = %v", c.Wedges)
 	}
 }
@@ -102,11 +153,11 @@ func TestCountPaperExample(t *testing.T) {
 	// Triangle 0,1,2 plus pendant 3 attached to 2.
 	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	c := Count(g.CSR())
-	if got := c.Wedges[WedgeKey{1, 3, 2}]; got != 2 {
-		t.Errorf("wedge class (1,3,2) = %d, want 2 (map: %v)", got, c.Wedges)
+	if got := c.Wedge(WedgeKey{1, 3, 2}); got != 2 {
+		t.Errorf("wedge class (1,3,2) = %d, want 2 (census: %v)", got, c.Wedges)
 	}
-	if got := c.Triangles[TriangleKey{2, 2, 3}]; got != 1 {
-		t.Errorf("triangle class (2,2,3) = %d, want 1 (map: %v)", got, c.Triangles)
+	if got := c.Triangle(TriangleKey{2, 2, 3}); got != 1 {
+		t.Errorf("triangle class (2,2,3) = %d, want 1 (census: %v)", got, c.Triangles)
 	}
 	if c.TotalWedges() != 2 || c.TotalTriangles() != 1 {
 		t.Errorf("totals: wedges=%d triangles=%d, want 2,1", c.TotalWedges(), c.TotalTriangles())
@@ -145,7 +196,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 // differential oracle for the class-histogram counter on graphs large
 // enough that brute-force triple enumeration is unaffordable.
 func countReference(s *graph.CSR) *Census {
-	c := NewCensus()
+	wedges, tris := map[WedgeKey]int64{}, map[TriangleKey]int64{}
 	n := s.N()
 	deg := make([]int, n)
 	for u := 0; u < n; u++ {
@@ -159,15 +210,15 @@ func countReference(s *graph.CSR) *Census {
 				b := int(nbrs[j])
 				if s.HasEdge(a, b) {
 					if center < a {
-						c.Triangles[NewTriangleKey(deg[center], deg[a], deg[b])]++
+						tris[NewTriangleKey(deg[center], deg[a], deg[b])]++
 					}
 				} else {
-					c.Wedges[NewWedgeKey(deg[a], deg[center], deg[b])]++
+					wedges[NewWedgeKey(deg[a], deg[center], deg[b])]++
 				}
 			}
 		}
 	}
-	return c
+	return censusOf(wedges, tris)
 }
 
 // hubGraph builds a graph whose top node degrees cross
@@ -198,32 +249,70 @@ func hubGraph(rng *rand.Rand, n, m int) *graph.Graph {
 	return g
 }
 
-// TestCountMatchesReferenceHubGraph pins the fast counter against the old
-// pair-enumeration counter on a hub-heavy graph (max degree well past the
-// bitset threshold) — the regime the rewrite exists for.
+// cutoffPowerLaw is an erased configuration model over a γ = 2
+// power-law degree sequence with maximum degree near the structural
+// cutoff 3√n: stubs are shuffled and paired, loops and repeated pairs
+// dropped. Its degree diversity is what used to push Count past its
+// dense class-cube accumulators.
+func cutoffPowerLaw(t *testing.T, n int, seed int64) *graph.CSR {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pl, err := stats.NewPowerLaw(2.0, 1, int(3*math.Sqrt(float64(n))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stubs []int
+	for v, k := range pl.DegreeSequence(rng, n) {
+		for ; k > 0; k-- {
+			stubs = append(stubs, v)
+		}
+	}
+	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	g := graph.NewCSR(n)
+	for i := 0; i+1 < len(stubs); i += 2 {
+		if u, v := stubs[i], stubs[i+1]; u != v && !g.HasEdge(u, v) {
+			if err := g.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// TestCountMatchesReferenceHubGraph pins the counter against the old
+// pair-enumeration counter on a hub-heavy graph (max degree well past
+// the bitset threshold), and checks the emitted layout is strictly
+// sorted with no zero counts.
 func TestCountMatchesReferenceHubGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := hubGraph(rng, 400, 1400).CSR()
 	if s.MaxDegree() < DefaultBitsetThreshold {
 		t.Fatalf("max degree %d below bitset threshold %d; test graph too tame", s.MaxDegree(), DefaultBitsetThreshold)
 	}
-	got, want := Count(s), countReference(s)
-	if !got.Equal(want) {
-		t.Errorf("fast census disagrees with reference: got %d wedges/%d triangles, want %d/%d",
-			got.TotalWedges(), got.TotalTriangles(), want.TotalWedges(), want.TotalTriangles())
-	}
+	checkMatchesReference(t, s)
 }
 
-// TestCountMatchesReferenceMapFallback forces the packed-key map path
-// (denseLimit exceeded) and differentially checks it too.
-func TestCountMatchesReferenceMapFallback(t *testing.T) {
-	old := denseLimit
-	denseLimit = 1
-	defer func() { denseLimit = old }()
-	rng := rand.New(rand.NewSource(7))
-	s := hubGraph(rng, 200, 700).CSR()
-	if !Count(s).Equal(countReference(s)) {
-		t.Error("map-fallback census disagrees with reference")
+// TestCountMatchesReferencePowerLaw is the same differential check on a
+// cutoff power-law graph with more than 101 degree classes — the degree
+// diversity that used to send Count down a packed-key map path.
+func TestCountMatchesReferencePowerLaw(t *testing.T) {
+	s := cutoffPowerLaw(t, 20000, 11)
+	if _, classDeg := degreeClasses(s.DegreeSequence()); len(classDeg) <= 101 {
+		t.Fatalf("power-law graph has %d degree classes; want > 101", len(classDeg))
+	}
+	checkMatchesReference(t, s)
+}
+
+func checkMatchesReference(t *testing.T, s *graph.CSR) {
+	t.Helper()
+	got, want := Count(s), countReference(s)
+	checkCanonical(t, got)
+	if got.TotalTriangles() == 0 {
+		t.Fatal("no triangles; the debit path is untested")
+	}
+	if !got.Equal(want) {
+		t.Errorf("census disagrees with reference: got %d wedges/%d triangles, want %d/%d",
+			got.TotalWedges(), got.TotalTriangles(), want.TotalWedges(), want.TotalTriangles())
 	}
 }
 
@@ -265,8 +354,7 @@ func TestDeltaMatchesRecountProperty(t *testing.T) {
 			g.AddEdge(x, v)
 
 			after := Count(g.CSR())
-			d.ApplyTo(before)
-			return before.Equal(after)
+			return d.ApplyTo(before).Equal(after)
 		}
 		return true // no valid swap found; vacuously fine
 	}
@@ -316,7 +404,7 @@ func TestCensusClone(t *testing.T) {
 	if !c.Equal(cl) {
 		t.Fatal("clone not equal")
 	}
-	cl.Wedges[WedgeKey{9, 9, 9}] = 5
+	cl.Wedges[0].Count++
 	if c.Equal(cl) {
 		t.Error("mutating clone affected original comparison")
 	}

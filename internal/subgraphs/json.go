@@ -3,7 +3,7 @@ package subgraphs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The JSON form of a census lists wedge and triangle classes as explicit
@@ -11,93 +11,75 @@ import (
 // encoding/json cannot key objects by struct types, and sorted arrays make
 // the encoding stable — the same census always marshals to the same bytes,
 // which the HTTP service relies on for cacheable, diffable responses.
-
-// wedgeJSON is one wedge class in the stable JSON encoding.
-type wedgeJSON struct {
-	KLo     int   `json:"k_lo"`
-	KCenter int   `json:"k_center"`
-	KHi     int   `json:"k_hi"`
-	Count   int64 `json:"count"`
-}
-
-// triangleJSON is one triangle class in the stable JSON encoding.
-type triangleJSON struct {
-	K1    int   `json:"k1"`
-	K2    int   `json:"k2"`
-	K3    int   `json:"k3"`
-	Count int64 `json:"count"`
-}
+//
+//	{"wedges":    [{"k_lo", "k_center", "k_hi", "count"}…],
+//	 "triangles": [{"k1", "k2", "k3", "count"}…]}
 
 // censusJSON is the wire form of Census.
 type censusJSON struct {
-	Wedges    []wedgeJSON    `json:"wedges"`
-	Triangles []triangleJSON `json:"triangles"`
+	Wedges    []WedgeCount    `json:"wedges"`
+	Triangles []TriangleCount `json:"triangles"`
 }
 
-// MarshalJSON encodes the census as sorted wedge and triangle class
-// arrays. The output is deterministic: classes appear in increasing key
-// order and zero-count classes are omitted.
+// MarshalJSON encodes the census as its sorted wedge and triangle class
+// arrays, which are already in wire order.
 func (c *Census) MarshalJSON() ([]byte, error) {
-	out := censusJSON{Wedges: []wedgeJSON{}, Triangles: []triangleJSON{}}
-	for k, v := range c.Wedges {
-		if v != 0 {
-			out.Wedges = append(out.Wedges, wedgeJSON{k.KLo, k.KCenter, k.KHi, v})
-		}
+	out := censusJSON{Wedges: c.Wedges, Triangles: c.Triangles}
+	if out.Wedges == nil {
+		out.Wedges = []WedgeCount{}
 	}
-	sort.Slice(out.Wedges, func(i, j int) bool {
-		a, b := out.Wedges[i], out.Wedges[j]
-		if a.KCenter != b.KCenter {
-			return a.KCenter < b.KCenter
-		}
-		if a.KLo != b.KLo {
-			return a.KLo < b.KLo
-		}
-		return a.KHi < b.KHi
-	})
-	for k, v := range c.Triangles {
-		if v != 0 {
-			out.Triangles = append(out.Triangles, triangleJSON{k.K1, k.K2, k.K3, v})
-		}
+	if out.Triangles == nil {
+		out.Triangles = []TriangleCount{}
 	}
-	sort.Slice(out.Triangles, func(i, j int) bool {
-		a, b := out.Triangles[i], out.Triangles[j]
-		if a.K1 != b.K1 {
-			return a.K1 < b.K1
-		}
-		if a.K2 != b.K2 {
-			return a.K2 < b.K2
-		}
-		return a.K3 < b.K3
-	})
 	return json.Marshal(out)
 }
 
 // UnmarshalJSON decodes the sorted-array census encoding produced by
-// MarshalJSON. Keys are re-canonicalized on the way in, so hand-written
-// JSON with unsorted degree triples is accepted.
+// MarshalJSON. Hand-written JSON is accepted in any record order and
+// with unsorted degree triples — keys are re-canonicalized and records
+// sorted on the way in — and zero-count records are dropped. Duplicate
+// classes (zero counts included) and negative counts are rejected.
 func (c *Census) UnmarshalJSON(b []byte) error {
 	var in censusJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
 	}
-	c.Wedges = make(map[WedgeKey]int64, len(in.Wedges))
-	c.Triangles = make(map[TriangleKey]int64, len(in.Triangles))
-	for _, w := range in.Wedges {
-		key := NewWedgeKey(w.KLo, w.KCenter, w.KHi)
-		if _, dup := c.Wedges[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate wedge class %+v in JSON", key)
-		}
-		if w.Count != 0 {
-			c.Wedges[key] = w.Count
+	for i := range in.Wedges {
+		w := &in.Wedges[i]
+		w.WedgeKey = NewWedgeKey(w.KLo, w.KCenter, w.KHi)
+		if w.Count < 0 {
+			return fmt.Errorf("subgraphs: wedge class %+v count %d in JSON", w.WedgeKey, w.Count)
 		}
 	}
-	for _, tr := range in.Triangles {
-		key := NewTriangleKey(tr.K1, tr.K2, tr.K3)
-		if _, dup := c.Triangles[key]; dup {
-			return fmt.Errorf("subgraphs: duplicate triangle class %+v in JSON", key)
+	for i := range in.Triangles {
+		tr := &in.Triangles[i]
+		tr.TriangleKey = NewTriangleKey(tr.K1, tr.K2, tr.K3)
+		if tr.Count < 0 {
+			return fmt.Errorf("subgraphs: triangle class %+v count %d in JSON", tr.TriangleKey, tr.Count)
 		}
-		if tr.Count != 0 {
-			c.Triangles[key] = tr.Count
+	}
+	c.Wedges, c.Triangles = in.Wedges, in.Triangles
+	if err := c.sortClasses(); err != nil {
+		return err
+	}
+	c.Wedges = slices.DeleteFunc(c.Wedges, func(w WedgeCount) bool { return w.Count == 0 })
+	c.Triangles = slices.DeleteFunc(c.Triangles, func(t TriangleCount) bool { return t.Count == 0 })
+	return nil
+}
+
+// sortClasses sorts decoded records with canonical keys into census
+// order and rejects duplicate classes.
+func (c *Census) sortClasses() error {
+	slices.SortFunc(c.Wedges, func(a, b WedgeCount) int { return a.Compare(b.WedgeKey) })
+	for i := 1; i < len(c.Wedges); i++ {
+		if k := c.Wedges[i].WedgeKey; k == c.Wedges[i-1].WedgeKey {
+			return fmt.Errorf("subgraphs: duplicate wedge class %+v", k)
+		}
+	}
+	slices.SortFunc(c.Triangles, func(a, b TriangleCount) int { return a.Compare(b.TriangleKey) })
+	for i := 1; i < len(c.Triangles); i++ {
+		if k := c.Triangles[i].TriangleKey; k == c.Triangles[i-1].TriangleKey {
+			return fmt.Errorf("subgraphs: duplicate triangle class %+v", k)
 		}
 	}
 	return nil

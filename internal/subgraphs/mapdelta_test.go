@@ -102,12 +102,14 @@ func (d *Delta) edgeChange(g *graph.Graph, deg []int, u, v int, sign int64) {
 	})
 }
 
-// ApplyTo folds the delta into census c in place.
-func (d *Delta) ApplyTo(c *Census) {
+// ApplyTo returns census c with the delta folded in.
+func (d *Delta) ApplyTo(c *Census) *Census {
+	w, t := countsOf(c)
 	for k, v := range d.Wedges {
-		addCount(c.Wedges, k, v)
+		addCount(w, k, v)
 	}
 	for k, v := range d.Triangles {
-		addCount(c.Triangles, k, v)
+		addCount(t, k, v)
 	}
+	return censusOf(w, t)
 }

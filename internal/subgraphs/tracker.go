@@ -3,8 +3,8 @@
 // Tracker scores double-edge swaps by their exact wedge/triangle census
 // change. Degrees are interned into a compact class table once, count
 // changes accumulate in degree-class-indexed arrays sized by the
-// observed adjacent class pairs (maps appear only at the Census
-// boundary, in Drain), and common-neighbor classification runs directly
+// observed adjacent class pairs (Drain converts them to degree-keyed
+// records), and common-neighbor classification runs directly
 // on the CSR's sorted neighbor windows — a linear merge for ordinary
 // nodes, O(1) bitset probes for nodes above a degree threshold. The CSR
 // working representation IS the tracker's sorted adjacency; no second
@@ -247,11 +247,13 @@ func (d *TrackerDelta) IsZero() bool {
 	return len(d.mWedges) == 0 && len(d.mTris) == 0
 }
 
-// Drain folds the accumulated changes into census c — the one place
-// class indices convert back to degree-keyed maps — and leaves the
-// accumulator empty (it consumes entries so that duplicate touched
-// indices cannot double-apply).
-func (d *TrackerDelta) Drain(c *Census) {
+// Drain appends the accumulated changes to w and tr as degree-keyed
+// records — one per class with a nonzero change, in no particular order —
+// and returns the extended slices. It is the one place class indices
+// convert back to degrees, and it leaves the accumulator empty (it
+// consumes entries so that duplicate touched indices cannot
+// double-apply).
+func (d *TrackerDelta) Drain(w []WedgeCount, tr []TriangleCount) ([]WedgeCount, []TriangleCount) {
 	t := d.t
 	if t.dense {
 		nc := t.nc
@@ -264,7 +266,7 @@ func (d *TrackerDelta) Drain(c *Census) {
 			hi := int(i) % nc
 			p := int(i) / nc
 			cc, lo := t.pairA[p], t.pairB[p]
-			addCount(c.Wedges, WedgeKey{t.classDeg[lo], t.classDeg[cc], t.classDeg[hi]}, v)
+			w = append(w, WedgeCount{WedgeKey{t.classDeg[lo], t.classDeg[cc], t.classDeg[hi]}, v})
 		}
 		for _, i := range d.tTouch {
 			v := d.tris[i]
@@ -275,18 +277,18 @@ func (d *TrackerDelta) Drain(c *Census) {
 			c3 := int(i) % nc
 			p := int(i) / nc
 			c1, c2 := t.pairA[p], t.pairB[p]
-			addCount(c.Triangles, TriangleKey{t.classDeg[c1], t.classDeg[c2], t.classDeg[c3]}, v)
+			tr = append(tr, TriangleCount{TriangleKey{t.classDeg[c1], t.classDeg[c2], t.classDeg[c3]}, v})
 		}
 		d.wTouch = d.wTouch[:0]
 		d.tTouch = d.tTouch[:0]
 	}
 	for key, v := range d.mWedges {
 		lo, cc, hi := unpackKey(t.classDeg, key)
-		addCount(c.Wedges, WedgeKey{lo, cc, hi}, v)
+		w = append(w, WedgeCount{WedgeKey{lo, cc, hi}, v})
 	}
 	for key, v := range d.mTris {
 		a, b, cc := unpackKey(t.classDeg, key)
-		addCount(c.Triangles, TriangleKey{a, b, cc}, v)
+		tr = append(tr, TriangleCount{TriangleKey{a, b, cc}, v})
 	}
 	if d.mWedges != nil {
 		clear(d.mWedges)
@@ -294,6 +296,7 @@ func (d *TrackerDelta) Drain(c *Census) {
 	if d.mTris != nil {
 		clear(d.mTris)
 	}
+	return w, tr
 }
 
 // addCount adds v to m[k], deleting the entry when it reaches zero.
@@ -307,7 +310,8 @@ func addCount[K comparable](m map[K]int64, k K, v int64) {
 
 const packMask = 1<<21 - 1
 
-// packKey packs a class triple into the map-fallback key a<<42|b<<21|c.
+// packKey packs a class triple into the key a<<42|b<<21|c, whose integer
+// order is the triple's lexicographic order.
 func packKey(a, b, c int32) uint64 {
 	return uint64(a)<<42 | uint64(b)<<21 | uint64(c)
 }

@@ -48,15 +48,13 @@ func mapDeltaOfSwap(g *graph.Graph, deg []int, u, v, x, y int) *Census {
 	if err := work.AddEdge(x, v); err != nil {
 		panic(err)
 	}
-	c := NewCensus()
-	d.ApplyTo(c)
-	return c
+	return d.ApplyTo(&Census{})
 }
 
+// drain empties td into a canonical census.
 func drain(t *Tracker, td *TrackerDelta) *Census {
-	c := NewCensus()
-	td.Drain(c)
-	return c
+	w, tr := td.Drain(nil, nil)
+	return censusOf(countsOf(&Census{Wedges: w, Triangles: tr}))
 }
 
 // TestTrackerSwapDeltaMatchesDelta pits the read-only dense SwapDelta
@@ -298,14 +296,13 @@ func TestTrackerDeltaResetAndZero(t *testing.T) {
 		t.Fatal("Reset did not clear the delta")
 	}
 	tr.RemoveEdgeDelta(td, 0, 1)
-	c := NewCensus()
-	td.Drain(c)
+	if w, ts := td.Drain(nil, nil); len(w) == 0 {
+		t.Fatalf("Drain after removing an edge produced %d wedge / %d triangle records", len(w), len(ts))
+	}
 	if !td.IsZero() {
 		t.Fatal("Drain did not leave the delta empty")
 	}
-	c2 := NewCensus()
-	td.Drain(c2)
-	if len(c2.Wedges) != 0 || len(c2.Triangles) != 0 {
+	if w, ts := td.Drain(nil, nil); len(w) != 0 || len(ts) != 0 {
 		t.Fatal("second Drain produced counts")
 	}
 }

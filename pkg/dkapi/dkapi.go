@@ -280,7 +280,11 @@ const (
 
 // Census is re-exported so SDK users can name the 3K wedge/triangle
 // census type appearing in pipeline step results without importing the
-// internal tree.
+// internal tree. Its Wedges and Triangles fields are slices of
+// (key, count) records sorted in key order with no zero counts — they
+// were maps before the sorted layout, and the JSON form is unchanged.
+// Look up one class with Census.Wedge / Census.Triangle (binary search)
+// rather than indexing.
 type Census = subgraphs.Census
 
 // Profile, Summary are likewise re-exported for SDK users.
