@@ -28,7 +28,7 @@ type RewiringCount struct {
 //	         unordered edge pairs and the two orientations.
 //	depth 2: depth-1 swaps that also preserve the JDD (dv = dy or du = dx).
 //	depth 3: depth-2 swaps whose wedge/triangle census delta is zero,
-//	         verified by applying and reverting each candidate.
+//	         decided read-only by Tracker.SwapKeepsCensus.
 //
 // Isomorphism discounting subtracts swaps whose exchanged endpoints are
 // both degree-1 (the paper reports no discount for depth 0).
@@ -71,22 +71,19 @@ func CountInitialRewirings(g *graph.CSR, depth int) (RewiringCount, error) {
 		if u == x || u == y || v == x || v == y {
 			return false, false
 		}
+		// The degree test first: it is four array reads, and it rejects
+		// most candidates before any adjacency lookup.
+		if depth >= 2 && deg[v] != deg[y] && deg[u] != deg[x] {
+			return false, false
+		}
 		if g.HasEdge(u, y) || g.HasEdge(x, v) {
 			return false, false
 		}
-		if depth >= 2 {
-			if deg[v] != deg[y] && deg[u] != deg[x] {
-				return false, false
-			}
-		}
-		if depth == 3 {
-			// The depth-2 filter above guarantees a 2K-preserving
-			// orientation, so the specialized symmetric-difference walk
-			// applies.
-			tracker.SwapDeltaJDD(td, u, v, x, y)
-			if !td.IsZero() {
-				return false, false
-			}
+		// The depth-2 filter above guarantees a 2K-preserving
+		// orientation, so the fingerprint pre-check and the specialized
+		// symmetric-difference walk apply.
+		if depth == 3 && !tracker.SwapKeepsCensus(td, u, v, x, y) {
+			return false, false
 		}
 		// Obvious isomorphism: the exchanged endpoints v and y are both
 		// leaves (the paper's (1,k)-(1,k') case), or symmetrically the

@@ -40,8 +40,10 @@ const (
 
 // RejectionBreakdown counts rejected proposals by reason. The structural
 // reasons (self-loop, duplicate edge, JDD mismatch, census change) are
-// decided before the move touches the graph; objective and connectivity
-// rejections apply the move first and roll it back (counted in
+// decided before the move touches the graph, in that order except that
+// the JDD test runs before the duplicate-edge probes: a proposal failing
+// both counts as a JDD mismatch. Objective and connectivity rejections
+// apply the move first and roll it back (counted in
 // RewireStats.Reverted as well).
 type RejectionBreakdown struct {
 	SelfLoop      int
@@ -88,11 +90,18 @@ type RewireStats struct {
 }
 
 // batchSize is the number of depth-3 candidate proposals drawn and
-// evaluated per parallel batch. Sized so one batch amortizes the pool
-// dispatch: most candidates die in the cheap structural checks, and only
-// the survivors pay for a census delta. Part of the RNG-stream contract:
+// evaluated per batch (see fillBatch). Part of the RNG-stream contract:
 // changing it changes which moves are accepted.
 const batchSize = 256
+
+// parallelWalkReads is the number of neighbor-window entries a batch's
+// census walks merge at which fillBatch fans them out over the worker
+// pool. Below it one goroutine finishes them sooner than a helper can be
+// woken and joined. On a two-core machine, depth-3 rewiring of a
+// 10-regular ring (~5k entries per batch) ran ~15% slower fanned out
+// than inline, and of a 100-regular ring (~50k) ~20% faster. Not part
+// of the stream contract: results are identical either way.
+const parallelWalkReads = 1 << 14
 
 // splitMix is the candidate-draw generator of the batched proposer: a
 // SplitMix64 stream, ~free to seed — candidates are drawn by the
@@ -154,6 +163,8 @@ type Rewirer struct {
 
 	deg     []int
 	tracker *subgraphs.Tracker // depth-3 census machinery, else nil
+	rng     splitMix           // fillBatch's candidate generator, reseeded per candidate
+	walks   []int32            // fillBatch's census-walk candidates, by queue index
 	scratch []*subgraphs.TrackerDelta
 	queue   []candidate
 	qPos    int
@@ -255,22 +266,21 @@ func (r *Rewirer) propose(rng intner) (Move, rejectReason) {
 	if u == x || u == y || v == x || v == y {
 		return Move{}, rejectSelfLoop
 	}
+	// JDD preservation: the multiset {(du,dv),(dx,dy)} must equal
+	// {(du,dy),(dx,dv)}, which holds iff dv = dy or du = dx. Four array
+	// reads, so it runs before the duplicate-edge probes: most depth ≥ 2
+	// proposals fail it, and then need no adjacency lookup at all.
+	if r.Depth >= 2 && r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x] {
+		return Move{}, rejectJDDMismatch
+	}
 	if r.tracker != nil {
-		// Depth 3: probe the tracker mirror — O(1) bitset hits on hubs
-		// instead of hashing into their adjacency maps; proposals are drawn
-		// by the thousand per accepted move, so this is hot.
+		// Depth 3: probe the tracker — O(1) bitset hits on hubs instead
+		// of binary searches in their long windows.
 		if r.tracker.Has(u, y) || r.tracker.Has(x, v) {
 			return Move{}, rejectDuplicateEdge
 		}
 	} else if g.HasEdge(u, y) || g.HasEdge(x, v) {
 		return Move{}, rejectDuplicateEdge
-	}
-	if r.Depth >= 2 {
-		// JDD preservation: the multiset {(du,dv),(dx,dy)} must equal
-		// {(du,dy),(dx,dv)}, which holds iff dv = dy or du = dx.
-		if r.deg[v] != r.deg[y] && r.deg[u] != r.deg[x] {
-			return Move{}, rejectJDDMismatch
-		}
 	}
 	return Move{U: u, V: v, X: x, Y: y, Depth: r.Depth}, rejectNone
 }
@@ -307,7 +317,7 @@ func (r *Rewirer) revert(m Move) {
 // Step proposes and evaluates one candidate move, updating r.Stats. It
 // reports whether a move was accepted; attempts that fail structural
 // constraints return (false, nil). At depth 3 proposals come from the
-// batched parallel pipeline; other depths draw directly from r.Rng.
+// batched pipeline (fillBatch); other depths draw directly from r.Rng.
 func (r *Rewirer) Step() (bool, error) {
 	if r.Depth == 3 {
 		return r.stepBatched()
@@ -405,17 +415,27 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 	return true, nil
 }
 
-// fillBatch speculatively draws batchSize depth-3 candidates and runs
-// their structural and census checks in parallel, read-only against the
-// current graph. Determinism: one batch seed is drawn from r.Rng, each
-// candidate i derives its own SplitMix64 stream via
-// parallel.SubSeed(batchSeed, i), and every check is a pure function of
-// (graph, candidate) — so the evaluated batch, and therefore the
-// accepted-move stream, is bit-identical at any worker count. Workers
-// reuse per-worker TrackerDelta scratch (stable worker ids from
-// parallel.ForWorkers), allocated lazily so nested parallelism that
-// degrades to one inline worker pays for one scratch, not Workers() of
-// them.
+// fillBatch speculatively draws batchSize depth-3 candidates and
+// evaluates them read-only against the current graph, in two passes.
+//
+// The first pass runs inline: it draws every candidate and applies the
+// O(1) checks — the structural ones in propose, then the census
+// fingerprint (Tracker.FingerprintRejects). Nearly every candidate dies
+// there, each in tens of nanoseconds, far less than handing it to a
+// helper goroutine would cost. The second pass runs the exact census
+// walk (SwapDeltaJDD) for the fingerprint's survivors, fanned out over
+// the worker pool only when their summed neighborhood sizes reach
+// parallelWalkReads; a rare accepted move or a same-class swap the
+// fingerprint cannot decide stays inline.
+//
+// Determinism: one batch seed is drawn from r.Rng, each candidate i
+// derives its own SplitMix64 stream via parallel.SubSeed(batchSeed, i),
+// and every check is a pure function of (graph, candidate) — so the
+// evaluated batch, and therefore the accepted-move stream, is
+// bit-identical at any worker count. Walk workers reuse per-worker
+// TrackerDelta scratch (stable worker ids from parallel.ForWorkers),
+// allocated lazily so nested parallelism that degrades to one inline
+// worker pays for one scratch, not Workers() of them.
 func (r *Rewirer) fillBatch() {
 	const k = batchSize
 	batchSeed := r.Rng.Int63()
@@ -431,32 +451,49 @@ func (r *Rewirer) fillBatch() {
 		r.dirty[node] = false
 	}
 	r.dirtyList = r.dirtyList[:0]
-	w := parallel.Workers()
-	if w > k {
-		w = k
+
+	walks := r.walks[:0]
+	reads := 0
+	for i := range r.queue {
+		r.rng.s = uint64(parallel.SubSeed(batchSeed, i))
+		m, rej := r.propose(&r.rng)
+		if rej == rejectNone {
+			// propose already enforced the depth-2 JDD condition, which
+			// the fingerprint and the symmetric-difference walk rely on.
+			if r.tracker.FingerprintRejects(m.U, m.V, m.X, m.Y) {
+				rej = rejectCensusChanged
+			} else {
+				walks = append(walks, int32(i))
+				// The walk merges the windows of the equal-degree pair.
+				kv := r.deg[m.V]
+				if kv != r.deg[m.Y] {
+					kv = r.deg[m.U]
+				}
+				reads += 2 * kv
+			}
+		}
+		r.queue[i] = candidate{m: m, reject: rej}
+	}
+	r.walks = walks
+
+	w := 1
+	if reads >= parallelWalkReads {
+		w = min(parallel.Workers(), len(walks))
 	}
 	for len(r.scratch) < w {
 		r.scratch = append(r.scratch, nil)
 	}
-	parallel.ForWorkers(w, k, func(worker, i int) {
-		rng := &splitMix{s: uint64(parallel.SubSeed(batchSeed, i))}
-		m, rej := r.propose(rng)
-		if rej == rejectNone {
-			td := r.scratch[worker]
-			if td == nil {
-				td = r.tracker.NewDelta()
-				r.scratch[worker] = td
-			}
-			// propose already enforced the depth-2 JDD condition, so
-			// SwapDeltaJDD walks only the symmetric difference of the
-			// equal-degree endpoints' neighborhoods instead of all four
-			// ops' full merges.
-			r.tracker.SwapDeltaJDD(td, m.U, m.V, m.X, m.Y)
-			if !td.IsZero() {
-				rej = rejectCensusChanged
-			}
+	parallel.ForWorkers(w, len(walks), func(worker, j int) {
+		td := r.scratch[worker]
+		if td == nil {
+			td = r.tracker.NewDelta()
+			r.scratch[worker] = td
 		}
-		r.queue[i] = candidate{m: m, reject: rej}
+		c := &r.queue[walks[j]]
+		r.tracker.SwapDeltaJDD(td, c.m.U, c.m.V, c.m.X, c.m.Y)
+		if !td.IsZero() {
+			c.reject = rejectCensusChanged
+		}
 	})
 }
 

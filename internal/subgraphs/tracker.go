@@ -37,15 +37,17 @@ var denseLimit = 1 << 20
 
 // Tracker holds the shared, read-only-during-evaluation state for dense
 // census deltas over a graph with a fixed degree sequence: the degree
-// class table, the observed class-pair index, and per-hub bitsets. The
+// class table, the observed class-pair index, per-hub bitsets, and
+// per-node neighbor-class fingerprints. The
 // degree sequence must be constant across all tracked mutations (true
 // for double-edge swaps, the only moves a tracker evaluates), because
 // census keys of intermediate states use the fixed degrees.
 //
 // Adjacency reads go straight to the CSR's sorted windows, so the graph
-// itself is the mirror. The bitsets are the only derived adjacency
-// state: every mutation of the underlying CSR must be paired with the
-// matching Add/Remove/ApplySwap call to keep them coherent.
+// itself is the mirror. The bitsets and fingerprints are the only
+// derived adjacency state: every mutation of the underlying CSR must be
+// paired with the matching Add/Remove/ApplySwap call to keep them
+// coherent.
 type Tracker struct {
 	g        *graph.CSR
 	nc       int        // degree class count
@@ -57,6 +59,10 @@ type Tracker struct {
 	pairB    []int32    // pair id -> second class of the ordered pair
 	npairs   int        // ordered observed pair count
 	bits     [][]uint64 // per-node bitset for threshold-degree nodes, else nil
+	// fp is each node's neighbor-class fingerprint: the sum, mod 2⁶⁴,
+	// of classMix over its neighbors' classes — equal for two nodes
+	// whose neighborhoods hold the same multiset of degree classes.
+	fp []uint64
 }
 
 // NewTracker builds a Tracker over g with the fixed degree sequence deg
@@ -76,6 +82,12 @@ func NewTrackerThreshold(g *graph.CSR, deg []int, threshold int) *Tracker {
 		cls:      cls,
 		classDeg: classDeg,
 		bits:     hubBitsets(g, deg, threshold),
+		fp:       make([]uint64, g.N()),
+	}
+	for u := range t.fp {
+		for _, v := range g.Neighbors(u) {
+			t.fp[u] += classMix(t.cls[v])
+		}
 	}
 	// Index the observed adjacent class pairs, both orders. JDD-preserving
 	// swaps can only ever create edges whose class pair is already
@@ -144,9 +156,18 @@ func (t *Tracker) has(a, b int) bool {
 	return lo < len(s) && s[lo] == x
 }
 
-// Add syncs the bitsets with an insertion of edge (u,v) into the CSR.
-// The caller performs (or has performed) the matching graph mutation —
-// the windows themselves are the graph's.
+// classMix is the SplitMix64 finalizer of a degree class id — the
+// per-neighbor term of the fingerprint.
+func classMix(c int32) uint64 {
+	z := uint64(c) + 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// Add syncs the bitsets and fingerprints with an insertion of edge (u,v)
+// into the CSR. The caller performs (or has performed) the matching
+// graph mutation — the windows themselves are the graph's.
 func (t *Tracker) Add(u, v int) {
 	if bs := t.bits[u]; bs != nil {
 		bs[uint(v)>>6] |= 1 << (uint(v) & 63)
@@ -154,9 +175,12 @@ func (t *Tracker) Add(u, v int) {
 	if bs := t.bits[v]; bs != nil {
 		bs[uint(u)>>6] |= 1 << (uint(u) & 63)
 	}
+	t.fp[u] += classMix(t.cls[v])
+	t.fp[v] += classMix(t.cls[u])
 }
 
-// Remove syncs the bitsets with a deletion of edge (u,v) from the CSR.
+// Remove syncs the bitsets and fingerprints with a deletion of edge
+// (u,v) from the CSR.
 func (t *Tracker) Remove(u, v int) {
 	if bs := t.bits[u]; bs != nil {
 		bs[uint(v)>>6] &^= 1 << (uint(v) & 63)
@@ -164,10 +188,13 @@ func (t *Tracker) Remove(u, v int) {
 	if bs := t.bits[v]; bs != nil {
 		bs[uint(u)>>6] &^= 1 << (uint(u) & 63)
 	}
+	t.fp[u] -= classMix(t.cls[v])
+	t.fp[v] -= classMix(t.cls[u])
 }
 
 // ApplySwap commits the double-edge swap (u,v),(x,y) → (u,y),(x,v) to
-// the bitsets after the caller accepted it (and applied it to the CSR).
+// the bitsets and fingerprints after the caller accepted it (and applied
+// it to the CSR).
 func (t *Tracker) ApplySwap(u, v, x, y int) {
 	t.Remove(u, v)
 	t.Remove(x, y)
@@ -477,6 +504,42 @@ func (t *Tracker) SwapDeltaJDD(d *TrackerDelta, u, v, x, y int) {
 			d.addWedge(c, b, cw, -ds)
 		}
 	}
+}
+
+// SwapKeepsCensus reports whether the 2K-preserving swap
+// (u,v),(x,y) → (u,y),(x,v) leaves the wedge/triangle census unchanged,
+// using d as scratch: the O(1) FingerprintRejects test first, then the
+// exact SwapDeltaJDD walk for the swaps it cannot decide. Same
+// preconditions as SwapDeltaJDD.
+func (t *Tracker) SwapKeepsCensus(d *TrackerDelta, u, v, x, y int) bool {
+	if t.FingerprintRejects(u, v, x, y) {
+		return false
+	}
+	t.SwapDeltaJDD(d, u, v, x, y)
+	return d.IsZero()
+}
+
+// FingerprintRejects reports whether the neighbor-class fingerprints
+// prove, in O(1), that the 2K-preserving swap (u,v),(x,y) → (u,y),(x,v)
+// changes the census. False decides nothing. Same preconditions as
+// SwapDeltaJDD.
+//
+// Oriented so that class v = class y, the swap trades v's neighbor u for
+// x and y's neighbor x for u. The class-level count of 2-paths (open
+// wedges plus each triangle once per corner) is a linear function of the
+// census, and the swap changes its part centered at class(v) by
+// Σ_c f(c)·({cx,c} − {cu,c}), where f(c) is the count of class c in
+// N(v)\{u} minus that in N(y)\{x}. When cu ≠ cx that sum vanishes only
+// if every f(c) does — the two residual neighborhoods hold the same
+// class multiset, so their fingerprints agree. Differing fingerprints
+// therefore prove the census changed. When cu = cx the swap exchanges
+// same-class neighbors and the 2-path count says nothing.
+func (t *Tracker) FingerprintRejects(u, v, x, y int) bool {
+	if t.cls[v] != t.cls[y] {
+		u, v, x, y = v, u, y, x
+	}
+	cu, cx := t.cls[u], t.cls[x]
+	return cu != cx && t.fp[v]-classMix(cu) != t.fp[y]-classMix(cx)
 }
 
 // Has reports whether edge (a,b) is present — an O(1) bitset probe when
