@@ -94,15 +94,6 @@ type RewireStats struct {
 // changing it changes which moves are accepted.
 const batchSize = 256
 
-// parallelWalkReads is the number of neighbor-window entries a batch's
-// census walks merge at which fillBatch fans them out over the worker
-// pool. Below it one goroutine finishes them sooner than a helper can be
-// woken and joined. On a two-core machine, depth-3 rewiring of a
-// 10-regular ring (~5k entries per batch) ran ~15% slower fanned out
-// than inline, and of a 100-regular ring (~50k) ~20% faster. Not part
-// of the stream contract: results are identical either way.
-const parallelWalkReads = 1 << 14
-
 // splitMix is the candidate-draw generator of the batched proposer: a
 // SplitMix64 stream, ~free to seed — candidates are drawn by the
 // thousand per accepted move, and seeding a rand.Rand (607-word state)
@@ -162,10 +153,9 @@ type Rewirer struct {
 	objSum float64
 
 	deg     []int
-	tracker *subgraphs.Tracker // depth-3 census machinery, else nil
-	rng     splitMix           // fillBatch's candidate generator, reseeded per candidate
-	walks   []int32            // fillBatch's census-walk candidates, by queue index
-	scratch []*subgraphs.TrackerDelta
+	tracker *subgraphs.Tracker      // depth-3 census machinery, else nil
+	rng     splitMix                // fillBatch's candidate generator, reseeded per candidate
+	td      *subgraphs.TrackerDelta // fillBatch's census-walk scratch
 	queue   []candidate
 	qPos    int
 	// Dirty-node filter: accepting a move changes only its four
@@ -416,26 +406,18 @@ func (r *Rewirer) finish(m Move) (bool, error) {
 }
 
 // fillBatch speculatively draws batchSize depth-3 candidates and
-// evaluates them read-only against the current graph, in two passes.
-//
-// The first pass runs inline: it draws every candidate and applies the
-// O(1) checks — the structural ones in propose, then the census
-// fingerprint (Tracker.FingerprintRejects). Nearly every candidate dies
-// there, each in tens of nanoseconds, far less than handing it to a
-// helper goroutine would cost. The second pass runs the exact census
-// walk (SwapDeltaJDD) for the fingerprint's survivors, fanned out over
-// the worker pool only when their summed neighborhood sizes reach
-// parallelWalkReads; a rare accepted move or a same-class swap the
-// fingerprint cannot decide stays inline.
+// evaluates them inline, read-only against the current graph: the O(1)
+// structural checks in propose, then Tracker.SwapKeepsCensus — the O(1)
+// census fingerprint, and the exact census walk only for the few
+// candidates it cannot decide. Nearly every candidate dies in tens of
+// nanoseconds, far less than handing it to a helper goroutine would
+// cost.
 //
 // Determinism: one batch seed is drawn from r.Rng, each candidate i
 // derives its own SplitMix64 stream via parallel.SubSeed(batchSeed, i),
 // and every check is a pure function of (graph, candidate) — so the
-// evaluated batch, and therefore the accepted-move stream, is
-// bit-identical at any worker count. Walk workers reuse per-worker
-// TrackerDelta scratch (stable worker ids from parallel.ForWorkers),
-// allocated lazily so nested parallelism that degrades to one inline
-// worker pays for one scratch, not Workers() of them.
+// evaluated batch, and therefore the accepted-move stream, depends on
+// neither the worker count nor the evaluation order.
 func (r *Rewirer) fillBatch() {
 	const k = batchSize
 	batchSeed := r.Rng.Int63()
@@ -451,50 +433,19 @@ func (r *Rewirer) fillBatch() {
 		r.dirty[node] = false
 	}
 	r.dirtyList = r.dirtyList[:0]
-
-	walks := r.walks[:0]
-	reads := 0
+	if r.td == nil {
+		r.td = r.tracker.NewDelta()
+	}
 	for i := range r.queue {
 		r.rng.s = uint64(parallel.SubSeed(batchSeed, i))
 		m, rej := r.propose(&r.rng)
-		if rej == rejectNone {
-			// propose already enforced the depth-2 JDD condition, which
-			// the fingerprint and the symmetric-difference walk rely on.
-			if r.tracker.FingerprintRejects(m.U, m.V, m.X, m.Y) {
-				rej = rejectCensusChanged
-			} else {
-				walks = append(walks, int32(i))
-				// The walk merges the windows of the equal-degree pair.
-				kv := r.deg[m.V]
-				if kv != r.deg[m.Y] {
-					kv = r.deg[m.U]
-				}
-				reads += 2 * kv
-			}
+		// propose already enforced the depth-2 JDD condition, which the
+		// fingerprint and the symmetric-difference walk rely on.
+		if rej == rejectNone && !r.tracker.SwapKeepsCensus(r.td, m.U, m.V, m.X, m.Y) {
+			rej = rejectCensusChanged
 		}
 		r.queue[i] = candidate{m: m, reject: rej}
 	}
-	r.walks = walks
-
-	w := 1
-	if reads >= parallelWalkReads {
-		w = min(parallel.Workers(), len(walks))
-	}
-	for len(r.scratch) < w {
-		r.scratch = append(r.scratch, nil)
-	}
-	parallel.ForWorkers(w, len(walks), func(worker, j int) {
-		td := r.scratch[worker]
-		if td == nil {
-			td = r.tracker.NewDelta()
-			r.scratch[worker] = td
-		}
-		c := &r.queue[walks[j]]
-		r.tracker.SwapDeltaJDD(td, c.m.U, c.m.V, c.m.X, c.m.Y)
-		if !td.IsZero() {
-			c.reject = rejectCensusChanged
-		}
-	})
 }
 
 // RewireProgress is one periodic convergence sample of a rewiring run —

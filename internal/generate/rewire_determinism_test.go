@@ -3,10 +3,8 @@ package generate
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/parallel"
 )
 
@@ -39,7 +37,7 @@ func moveLogBytes(t *testing.T, seed int64) []byte {
 }
 
 // TestRewireMoveStreamDeterministic mirrors internal/load's
-// TestGenerateDeterministic: the batched parallel proposal loop must
+// TestGenerateDeterministic: the batched proposal loop must
 // produce a byte-identical accepted-move log at every worker count, and
 // a different log for a different seed.
 func TestRewireMoveStreamDeterministic(t *testing.T) {
@@ -86,57 +84,6 @@ func TestRewireStatsDeterministic(t *testing.T) {
 		parallel.SetWorkers(workers)
 		if got := run(); got != want {
 			t.Fatalf("stats differ at %d workers:\n got %+v\nwant %+v", workers, got, want)
-		}
-	}
-}
-
-// TestRewireParallelWalksDeterministic covers the fanned-out census-walk
-// pass of fillBatch. On a regular graph every proposal passes the JDD
-// test and no fingerprint can decide it (all classes are equal), so each
-// batch carries about two hundred walks over 60-entry windows — past
-// parallelWalkReads. The accepted-move log and stats must not depend on
-// the worker count.
-func TestRewireParallelWalksDeterministic(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	// A random 60-regular graph: a circulant graph scrambled by
-	// degree-preserving swaps (the circulant itself is so dense in
-	// triangles that it admits almost no census-preserving swap).
-	const n, half = 240, 30
-	ring := graph.NewCSR(n)
-	for i := 0; i < n; i++ {
-		for j := 1; j <= half; j++ {
-			mustAdd(ring, i, (i+j)%n)
-		}
-	}
-	base, _, err := Randomize(ring, 1, RandomizeOptions{Rng: newRng(2), SwapFactor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) ([]Move, RewireStats) {
-		parallel.SetWorkers(workers)
-		r, err := NewRewirer(base.Clone(), 3, newRng(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.RecordMoves = true
-		st, err := r.Run(0, 4*batchSize, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers > 1 && len(r.scratch) < 2 {
-			t.Fatalf("workers=%d: census walks never fanned out", workers)
-		}
-		return r.AcceptedMoves(), st
-	}
-	wantMoves, wantStats := run(1)
-	if wantStats.Accepted == 0 {
-		t.Fatal("no moves accepted; determinism check is vacuous")
-	}
-	for _, workers := range []int{2, 4} {
-		moves, st := run(workers)
-		if st != wantStats || !slices.Equal(moves, wantMoves) {
-			t.Fatalf("workers=%d: stats %+v, %d moves; want %+v, %d moves",
-				workers, st, len(moves), wantStats, len(wantMoves))
 		}
 	}
 }

@@ -110,7 +110,7 @@ func TestSwapKeepsCensusFingerprintExact(t *testing.T) {
 				}
 				tr.SwapDeltaJDD(walk, u, v, x, y)
 				zero := walk.IsZero()
-				if tr.FingerprintRejects(u, v, x, y) {
+				if tr.fingerprintRejects(u, v, x, y) {
 					fpRejects++
 					if zero {
 						t.Fatalf("proposal %d: fingerprint rejected census-preserving swap (%d,%d),(%d,%d)",

@@ -508,18 +508,18 @@ func (t *Tracker) SwapDeltaJDD(d *TrackerDelta, u, v, x, y int) {
 
 // SwapKeepsCensus reports whether the 2K-preserving swap
 // (u,v),(x,y) → (u,y),(x,v) leaves the wedge/triangle census unchanged,
-// using d as scratch: the O(1) FingerprintRejects test first, then the
+// using d as scratch: the O(1) fingerprintRejects test first, then the
 // exact SwapDeltaJDD walk for the swaps it cannot decide. Same
 // preconditions as SwapDeltaJDD.
 func (t *Tracker) SwapKeepsCensus(d *TrackerDelta, u, v, x, y int) bool {
-	if t.FingerprintRejects(u, v, x, y) {
+	if t.fingerprintRejects(u, v, x, y) {
 		return false
 	}
 	t.SwapDeltaJDD(d, u, v, x, y)
 	return d.IsZero()
 }
 
-// FingerprintRejects reports whether the neighbor-class fingerprints
+// fingerprintRejects reports whether the neighbor-class fingerprints
 // prove, in O(1), that the 2K-preserving swap (u,v),(x,y) → (u,y),(x,v)
 // changes the census. False decides nothing. Same preconditions as
 // SwapDeltaJDD.
@@ -534,7 +534,7 @@ func (t *Tracker) SwapKeepsCensus(d *TrackerDelta, u, v, x, y int) bool {
 // class multiset, so their fingerprints agree. Differing fingerprints
 // therefore prove the census changed. When cu = cx the swap exchanges
 // same-class neighbors and the 2-path count says nothing.
-func (t *Tracker) FingerprintRejects(u, v, x, y int) bool {
+func (t *Tracker) fingerprintRejects(u, v, x, y int) bool {
 	if t.cls[v] != t.cls[y] {
 		u, v, x, y = v, u, y, x
 	}
